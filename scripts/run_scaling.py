@@ -13,19 +13,13 @@ import argparse
 import sys
 
 from lcsk.bench import run_cells
-
-
-def parse_int_list(text):
-    try:
-        return [int(tok) for tok in text.split(",") if tok]
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not a comma-separated int list: {text!r}")
+from lcsk.cli import _int_list
 
 
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--mode", choices=("exact", "op", "both"), default="both")
-    parser.add_argument("--n", type=parse_int_list, default=[2000, 4000],
+    parser.add_argument("--n", type=_int_list, default=[2000, 4000],
                         help="comma-separated input lengths (default: 2000,4000)")
     parser.add_argument("--k", type=int, default=3, help="minimum chunk length")
     parser.add_argument("--seed", type=int, default=0)

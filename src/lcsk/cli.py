@@ -77,8 +77,8 @@ def cmd_exact(ns: argparse.Namespace) -> int:
     if ns.k < 1:
         print("exact mode requires k >= 1", file=sys.stderr)
         return 2
-    if ns.low_mem and ns.chunks:
-        print("--low-mem cannot produce --chunks (no tables kept)", file=sys.stderr)
+    if ns.low_mem and (ns.chunks or ns.dump_tables):
+        print("--low-mem cannot produce --chunks/--dump-tables (no tables kept)", file=sys.stderr)
         return 2
     if ns.quiet and (ns.chunks or ns.dump_tables):
         print("--quiet conflicts with --chunks/--dump-tables", file=sys.stderr)
@@ -91,7 +91,7 @@ def cmd_exact(ns: argparse.Namespace) -> int:
     def sym(v):  # printable bytes render as characters, the rest as numbers
         return chr(v) if 33 <= v <= 126 else str(v)
     lines = []
-    if ns.low_mem or not (ns.chunks or ns.dump_tables):
+    if not (ns.chunks or ns.dump_tables):
         length = lcs_kplus_length(xs, ys, ns.k)
         lines.append(str(length))
     else:

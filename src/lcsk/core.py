@@ -8,10 +8,24 @@ be order-isomorphic.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 from typing import Any, Iterable
 
 MODES = ("exact", "op")
+
+
+def check_k(k, mode: str = "exact") -> int:
+    """Validate the minimum chunk length for ``mode``; return it as an int.
+
+    Op mode needs k >= 2: every pair of single symbols is order-isomorphic.
+    """
+    if isinstance(k, bool) or not isinstance(k, numbers.Integral):
+        raise TypeError(f"k must be an integer, got {type(k).__name__}")
+    minimum = 2 if mode == "op" else 1
+    if k < minimum:
+        raise ValueError(f"{mode} mode requires k >= {minimum}")
+    return int(k)
 
 
 def as_items(seq: Any) -> tuple:
@@ -60,11 +74,7 @@ class Params:
     def __post_init__(self):
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
-        if self.mode == "exact" and self.k < 1:
-            raise ValueError("exact mode requires k >= 1")
-        if self.mode == "op" and self.k < 2:
-            # k = 1 would make every symbol pair trivially order-isomorphic
-            raise ValueError("op mode requires k >= 2")
+        check_k(self.k, self.mode)
 
 
 @dataclass(frozen=True)

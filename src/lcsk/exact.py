@@ -14,11 +14,12 @@ a (k+1)-row ring buffer over the shorter sequence: O(k * min(m, n)) ints.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ChunkAlignment, as_items
+from .core import ChunkAlignment, as_items, check_k
 
 
 def _encode(xs: tuple, ys: tuple):
@@ -59,8 +60,7 @@ def match_run_table(x, y) -> np.ndarray:
 
 def compute_tables(x, y, k: int) -> DpTables:
     """All three DP tables, O(mn) space; feed the result to traceback()."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
+    k = check_k(k)
     xs, ys = as_items(x), as_items(y)
     m, n = len(xs), len(ys)
     run = match_run_table(xs, ys)
@@ -81,29 +81,64 @@ def compute_tables(x, y, k: int) -> DpTables:
     return DpTables(lengths=lengths, match_run=run, chunk_max=chunk_max)
 
 
+def _window_ids(xa: np.ndarray, ya: np.ndarray, k: int):
+    """Ids of the length-k windows of xa and ya; equal ids iff equal windows.
+
+    Codes are below s, so each extra symbol multiplies the id range by s;
+    ids are re-ranked with np.unique before they could overflow int64.
+    """
+    s = int(max(xa.max(), ya.max())) + 1
+    gx, gy = xa.astype(np.int64), ya.astype(np.int64)
+    span = s
+    for t in range(1, k):
+        if span * s >= 1 << 62:
+            ids = np.unique(np.concatenate((gx, gy)), return_inverse=True)[1]
+            gx, gy = ids[: len(gx)], ids[len(gx) :]
+            span = len(ids)
+        gx = gx[:-1] * s + xa[t:]
+        gy = gy[:-1] * s + ya[t:]
+        span *= s
+    dtype = np.int32 if span < 1 << 31 else np.int64
+    return gx.astype(dtype), gy.astype(dtype)
+
+
 def _length_rows(xa: np.ndarray, ya: np.ndarray, k: int) -> int:
-    """Row-vectorized length computation; fallback when no JIT is available."""
+    """Row-vectorized length computation; fallback when no JIT is available.
+
+    A chunk can end at (i, j) iff the length-k windows ending there are
+    equal, so one comparison of window ids replaces the match-run row.
+    Row i is stored with offset m + 1 - i: h = lengths + m + 1 - i and
+    e = chunk_max + m + 1 - i, with e = 0 where no chunk ends.  Along a
+    diagonal the offset drops by one per row, which absorbs the +k of
+    lengths[i-k, j-k] + k and the +1 of chunk_max[i-1, j-1] + 1, and every
+    stored value stays positive, so multiplying by the hit mask clears e.
+    That leaves six numpy calls per row on preallocated buffers; the
+    per-row overhead matters because only the running max is O(n) work of
+    any weight.
+    """
     m, n = len(xa), len(ya)
-    win = [np.zeros(n + 1, dtype=np.int32) for _ in range(k + 1)]
-    run_prev = np.zeros(n + 1, dtype=np.int32)
-    chunk_prev = np.full(n + 1, -1, dtype=np.int32)
-    for i in range(1, m + 1):
-        eq = ya == xa[i - 1]
-        run_cur = np.zeros(n + 1, dtype=np.int32)
-        run_cur[1:] = (run_prev[:-1] + 1) * eq
-        chunk_cur = np.full(n + 1, -1, dtype=np.int32)
-        if i >= k:
-            cand = win[(i - k) % (k + 1)][: n + 1 - k] + k
-            lk = run_cur[k:]
-            grown = chunk_prev[k - 1 : n] + 1
-            chunk_cur[k:] = np.where(
-                lk == k, cand, np.where(lk > k, np.maximum(grown, cand), -1)
-            )
-        crow = win[i % (k + 1)]  # row i-(k+1), no longer needed
-        np.maximum(win[(i - 1) % (k + 1)], chunk_cur, out=crow)
-        np.maximum.accumulate(crow, out=crow)
-        run_prev, chunk_prev = run_cur, chunk_cur
-    return int(win[m % (k + 1)][n])
+    xg, yg = _window_ids(xa, ya, k)
+    w = n + 1 - k
+    ring = k + 1
+    h = np.empty((ring, n + 1), dtype=np.int32)  # ring of offset score rows
+    h[:] = (m + 1 - np.arange(ring, dtype=np.int32))[:, None]  # rows 0..k score 0
+    e = np.zeros((2, n + 1), dtype=np.int32)  # offset chunk_max, rows i-1 and i
+    one = np.ones(n + 1, dtype=np.int32)
+    hit = np.empty(w, dtype=bool)
+    # views for rows k, k+1, ...; the pattern repeats every 2 * ring rows
+    steps = [
+        (h[i % ring], h[(i - 1) % ring], h[(i - k) % ring][:w],
+         e[i % 2], e[i % 2][k:], e[(i - 1) % 2][k - 1 : n])
+        for i in range(k, k + 2 * ring)
+    ]
+    for gram, (row, up, cand, chunk, tail, diag) in zip(xg, itertools.cycle(steps)):
+        np.equal(yg, gram, out=hit)
+        np.maximum(cand, diag, out=tail)
+        np.multiply(tail, hit, out=tail)
+        np.subtract(up, one, out=row)
+        np.maximum(row, chunk, out=row)
+        np.maximum.accumulate(row, out=row)
+    return int(h[m % ring, n]) - 1  # row m's offset is 1
 
 
 def _length_cells(xa, ya, k):  # numba-compiled below when available
@@ -158,11 +193,10 @@ def lcs_kplus_length(x, y, k: int) -> int:
     """LCS_{k+} length in O(k * min(m, n)) memory.
 
     Same recurrence as compute_tables but keeps only a ring buffer of the
-    last k+1 score rows (plus one run row and one chunk row), iterating over
-    the longer sequence so rows span the shorter one.
+    last k+1 score rows (plus two chunk rows and the window ids), iterating
+    over the longer sequence so rows span the shorter one.
     """
-    if k < 1:
-        raise ValueError("k must be >= 1")
+    k = check_k(k)
     xs, ys = as_items(x), as_items(y)
     if len(xs) < len(ys):
         xs, ys = ys, xs  # the problem is symmetric; keep rows short

@@ -3,122 +3,106 @@
 Same chunk recurrence as the exact variant, but the final-chunk maximum
 cannot be maintained by the simple run/chunk tables: op-matching runs are
 not suffix-extendable the same way.  Instead, for each cell the longest
-op-matching suffix window l comes from a precomputed LCE table on the
-reversed inputs, and max over chunk lengths in [k, l] is answered by a
-per-diagonal semi-dynamic range-max queue.
+op-matching suffix window ell(i, j) comes from a precomputed LCE table on
+the reversed inputs, and the cell needs max C[i-l, j-l] + l over chunk
+lengths l in [k, ell].
 
-Values stored in the queue for cell (i, j) are C[i, j] - min(i, j): along
-a fixed diagonal, C[i-l, j-l] + l = (stored value at front position l) +
-min(i, j), so one front-range query covers all candidate chunk lengths.
-
-Seeding: every diagonal gets exactly k boundary cells (scores 0, stored
-values 0, -1, ..., -(k-1)) before the main sweep, so front position l
-always maps to cell (i-l, j-l).  Seeding only part of the boundary breaks
-that invariant on diagonals near the corners; see tests for the regression.
+Order-isomorphism is hereditary: dropping the last symbol of two
+order-isomorphic windows leaves them order-isomorphic, so
+ell(i, j) <= ell(i-1, j-1) + 1.  Along a diagonal the candidate rows
+[i - ell, i - k] therefore have both ends non-decreasing in i, and the
+query is a sliding-window maximum.  Each diagonal keeps a monotone deque of
+(row p, C[p, q] - p) with values decreasing from front to back; the front
+value + i is the best candidate.  Every cell is pushed and popped at most
+once, so the sweep does amortized O(1) work per cell.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ChunkAlignment, as_items
+from .core import ChunkAlignment, as_items, check_k
 from .order_iso import OpLceTable, build_oplce_table
-from .rmq import DiagonalMaxQueue
 
 
 @dataclass(frozen=True)
 class OpDpState:
-    """Retained sweep state: score table, LCE table, per-diagonal queues."""
+    """Retained sweep state: score table and LCE table."""
 
     x: tuple
     y: tuple
     k: int
     lengths: np.ndarray  # (m+1) x (n+1) scores
     oplce: OpLceTable  # built on the reversed inputs
-    queues: dict  # diagonal i-j -> DiagonalMaxQueue
 
     @property
     def length(self) -> int:
         return int(self.lengths[-1, -1])
 
 
-def _diag_cell_count(d: int, k: int, m: int, n: int) -> int:
-    """Number of values a diagonal's queue will ever hold (seeds + main cells)."""
-    j_lo = max(k, k - d)
-    j_hi = min(n, m - d)
-    return k + (j_hi - j_lo + 1 if j_hi >= j_lo else 0)
-
-
 def _sweep(xs: tuple, ys: tuple, k: int, keep_state: bool):
+    if any(v != v for v in xs + ys):
+        raise ValueError("op mode needs totally ordered values; got NaN")
     m, n = len(xs), len(ys)
-    degenerate = m < k or n < k
     rev_lce = build_oplce_table(xs[::-1], ys[::-1])
     lce = rev_lce.values
-    queues: dict = {}
-    if not degenerate:
-        for d in range(k - n, m - k + 1):
-            q = DiagonalMaxQueue(capacity=_diag_cell_count(d, k, m, n))
-            for t in range(k):
-                q.prepend(-t)  # boundary cells: score 0, min(i, j) = t
-            queues[d] = q
     full = np.zeros((m + 1, n + 1), dtype=np.int32) if keep_state else None
-    prev = [0] * (n + 1)
-    cur = [0] * (n + 1)
-    if not degenerate:
-        for i in range(k, m + 1):
-            lvals = lce[m - i + 1][::-1].tolist()  # lvals[j-1] = opLCE(m-i+1, n-j+1)
-            for j in range(k, n + 1):
-                ell = lvals[j - 1]
-                mn = i if i < j else j
-                q = queues[i - j]
-                if ell >= k:
-                    assert ell <= mn  # LCE is capped by the suffix lengths
-                    val, _pos = q.rmq_front(k, ell)
-                    cand = val + mn
-                else:
-                    cand = 0
-                best = cur[j - 1]
-                if prev[j] > best:
-                    best = prev[j]
+    rows = [[0] * (n + 1) for _ in range(k + 1)]  # row i lives at rows[i % (k+1)]
+    queues = [deque() for _ in range(m + n - 2 * k + 1)]  # diagonal i-j at i-j+n-k
+    for i in range(k, m + 1):
+        lvals = lce[m - i + 1][::-1].tolist()  # lvals[j-1] = opLCE(m-i+1, n-j+1)
+        cur = rows[i % (k + 1)]
+        prev = rows[(i - 1) % (k + 1)]
+        src = rows[(i - k) % (k + 1)]
+        p = i - k
+        for j in range(k, n + 1):
+            q = queues[i - j + n - k]
+            v = src[j - k] - p
+            while q and q[-1][1] <= v:
+                q.pop()
+            q.append((p, v))
+            ell = lvals[j - 1]
+            lo = i - ell
+            while q and q[0][0] < lo:
+                q.popleft()
+            best = cur[j - 1]
+            if prev[j] > best:
+                best = prev[j]
+            if ell >= k:
+                assert ell <= (i if i < j else j)  # LCE is capped by the suffix lengths
+                cand = q[0][1] + i
                 if cand > best:
                     best = cand
-                cur[j] = best
-                q.prepend(best - mn)
-            if keep_state:
-                full[i, k:] = cur[k:]
-            prev, cur = cur, prev
+            cur[j] = best
+        if keep_state:
+            full[i, k:] = cur[k:]
+    length = rows[m % (k + 1)][n]
     if keep_state:
-        state = OpDpState(x=xs, y=ys, k=k, lengths=full, oplce=rev_lce, queues=queues)
-        return prev[n], state
-    return prev[n], None
+        return length, OpDpState(x=xs, y=ys, k=k, lengths=full, oplce=rev_lce)
+    return length, None
 
 
 def op_lcs_kplus_length(x, y, k: int) -> int:
     """op-LCS_{k+} length; no state kept."""
-    if k < 2:
-        raise ValueError("k must be >= 2 in op mode")
-    length, _ = _sweep(as_items(x), as_items(y), k, keep_state=False)
+    length, _ = _sweep(as_items(x), as_items(y), check_k(k, "op"), keep_state=False)
     return length
 
 
 def op_lcs_kplus_state(x, y, k: int) -> OpDpState:
     """Run the sweep retaining everything op_traceback needs."""
-    if k < 2:
-        raise ValueError("k must be >= 2 in op mode")
-    _, state = _sweep(as_items(x), as_items(y), k, keep_state=True)
+    _, state = _sweep(as_items(x), as_items(y), check_k(k, "op"), keep_state=True)
     return state
 
 
 def op_traceback(state: OpDpState) -> ChunkAlignment:
     """Recover one optimal chunk decomposition from retained sweep state.
 
-    The queues have grown past each revisited cell, so front positions are
-    shifted by (queue count now) - (queue count when the cell was processed);
-    the latter is min(i, j) by the seeding invariant.  A chunk is taken
-    whenever the shifted range query reproduces the cell's score, using the
-    position the query returns; otherwise step left, then up.
+    Deterministic tie policy: take a chunk whenever some length in
+    [k, ell] reproduces the cell's score, using the shortest such length;
+    otherwise step left, then up.
     """
     lengths = state.lengths
     lce = state.oplce.values
@@ -130,20 +114,14 @@ def op_traceback(state: OpDpState) -> ChunkAlignment:
         score = int(lengths[i, j])
         if score == 0:
             break
-        mn = i if i < j else j
         ell = int(lce[m - i + 1, n - j + 1])
-        took = False
-        if ell >= k:
-            q = state.queues[i - j]
-            shift = q.count - mn
-            val, pos = q.rmq_front(k + shift, ell + shift)
-            if val + mn == score:
-                ln = pos - shift
+        for ln in range(k, ell + 1):
+            if int(lengths[i - ln, j - ln]) + ln == score:
                 chunks.append((i - ln + 1, j - ln + 1, ln))
                 i -= ln
                 j -= ln
-                took = True
-        if not took:
+                break
+        else:
             if int(lengths[i, j - 1]) == score:
                 j -= 1
             elif int(lengths[i - 1, j]) == score:

@@ -81,8 +81,9 @@ class TestExact:
 
     def test_low_mem_rejects_chunks(self, files, capsys):
         x, y = files("x", "ab"), files("y", "ab")
-        code, _, _ = run(capsys, ["exact", x, y, "--k", "1", "--low-mem", "--chunks"])
-        assert code == 2
+        for flag in ("--chunks", "--dump-tables"):
+            code, out, _ = run(capsys, ["exact", x, y, "--k", "1", "--low-mem", flag])
+            assert code == 2 and out == ""
 
     def test_invalid_k(self, files, capsys):
         x, y = files("x", "ab"), files("y", "ab")

@@ -3,7 +3,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from lcsk.core import ChunkAlignment, Params, Sequence, as_items, validate_alignment
+from lcsk.core import (
+    ChunkAlignment,
+    Params,
+    Sequence,
+    as_items,
+    check_k,
+    validate_alignment,
+)
 
 
 class TestSequence:
@@ -47,6 +54,13 @@ class TestParams:
         with pytest.raises(ValueError):
             Params(k=1, mode="op")
         assert Params(k=2, mode="op").k == 2
+
+    @pytest.mark.parametrize("mode", ["exact", "op"])
+    def test_rejects_non_integer_k(self, mode):
+        for k in (True, False, 2.5, 3.0, "3", None):
+            with pytest.raises(TypeError, match="integer"):
+                Params(k=k, mode=mode)
+        assert check_k(np.int64(3), mode) == 3 and type(check_k(np.int64(3), mode)) is int
 
     def test_unknown_mode(self):
         with pytest.raises(ValueError):

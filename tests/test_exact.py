@@ -40,6 +40,12 @@ class TestGoldens:
             lcs_kplus_length("a", "a", 0)
         with pytest.raises(ValueError):
             compute_tables("a", "a", 0)
+        for k in (True, 2.5, "2"):
+            with pytest.raises(TypeError):
+                lcs_kplus_length("abc", "abc", k)
+            with pytest.raises(TypeError):
+                compute_tables("abc", "abc", k)
+        assert lcs_kplus_length("abc", "abc", np.int32(2)) == 3
 
 
 class TestMatchRunTable:
@@ -86,6 +92,20 @@ class TestAgainstOracle:
         assume(min(len(xs), len(ys)) >= k)
         xa, ya = _encode(tuple(xs), tuple(ys))
         assert _length_cells(xa, ya, k) == _length_rows(xa, ya, k)
+
+    def test_routes_agree_when_window_ids_are_reranked(self):
+        # 64 symbols and k >= 11 push the window ids past int64, so the row
+        # route re-ranks them; shared segments keep the answer non-trivial
+        rng = random.Random(11)
+        for k in (11, 12, 14):
+            for _ in range(20):
+                x = [rng.randrange(64) for _ in range(rng.randint(k, 60))]
+                y = [rng.randrange(64) for _ in range(rng.randint(k, 60))]
+                start = rng.randrange(len(x))
+                seg = x[start : start + rng.randint(k, 2 * k)]
+                y[: len(seg)] = seg
+                xa, ya = _encode(tuple(x), tuple(y))
+                assert _length_rows(xa, ya, k) == _length_cells(xa, ya, k)
 
 
 class TestTableInvariants:

@@ -1,16 +1,13 @@
+import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lcsk.core import Params, validate_alignment
-from lcsk.op_lcs import (
-    _diag_cell_count,
-    op_lcs_kplus_length,
-    op_lcs_kplus_state,
-    op_traceback,
-)
+from lcsk.op_lcs import op_lcs_kplus_length, op_lcs_kplus_state, op_traceback
 from lcsk.oracles import naive_op_lcs_kplus
 
 EX_X = (14, 84, 82, 31, 74, 68, 87, 11, 20, 32)
@@ -30,6 +27,21 @@ class TestGoldens:
                 op_lcs_kplus_length(EX_X, EX_Y, k)
             with pytest.raises(ValueError):
                 op_lcs_kplus_state(EX_X, EX_Y, k)
+        for k in (True, 2.5, "3"):
+            with pytest.raises(TypeError):
+                op_lcs_kplus_length(EX_X, EX_Y, k)
+            with pytest.raises(TypeError):
+                op_lcs_kplus_state(EX_X, EX_Y, k)
+        assert op_lcs_kplus_length(EX_X, EX_Y, np.int64(3)) == 7
+
+    def test_rejects_nan(self):
+        # NaN compares false both ways, so no window containing it has an order
+        xs = (1.0, 2.0, math.nan, 3.0, 4.0)
+        for solve in (op_lcs_kplus_length, op_lcs_kplus_state):
+            with pytest.raises(ValueError, match="NaN"):
+                solve(xs, xs, 2)
+            with pytest.raises(ValueError, match="NaN"):
+                solve((1, 2, 3), np.array([1.0, math.nan]), 2)
 
     def test_degenerate_sizes(self):
         assert op_lcs_kplus_length((1, 2), (3, 4, 5), 3) == 0
@@ -66,19 +78,21 @@ class TestState:
         st_ = op_lcs_kplus_state(xs, ys, k)
         assert st_.length == op_lcs_kplus_length(xs, ys, k)
 
-    def test_queue_counts_match_diagonal_geometry(self):
-        xs, ys, k = EX_X, EX_Y, 3
+    def test_score_table_shape(self):
+        xs, ys, k = EX_X, EX_Y[:7], 3
         state = op_lcs_kplus_state(xs, ys, k)
-        m, n = len(xs), len(ys)
-        assert set(state.queues) == set(range(k - n, m - k + 1))
-        for d, q in state.queues.items():
-            assert q.count == _diag_cell_count(d, k, m, n)
+        assert state.lengths.shape == (len(xs) + 1, len(ys) + 1)
+        # rows and columns below k hold no chunk, so they stay zero
+        assert not state.lengths[:k].any() and not state.lengths[:, :k].any()
+        assert state.length == int(state.lengths[-1, -1]) == op_lcs_kplus_length(xs, ys, k)
 
     def test_degenerate_state(self):
-        state = op_lcs_kplus_state((1,), (2, 3), 2)
-        assert state.length == 0 and state.queues == {}
-        a = op_traceback(state)
-        assert a.total == 0 and a.chunks == ()
+        for xs, ys in (((1,), (2, 3)), ((1, 2, 3), (2,)), ((), ())):
+            state = op_lcs_kplus_state(xs, ys, 2)
+            assert state.lengths.shape == (len(xs) + 1, len(ys) + 1)
+            assert state.length == 0
+            a = op_traceback(state)
+            assert a.total == 0 and a.chunks == ()
 
 
 class TestTraceback:
@@ -86,6 +100,7 @@ class TestTraceback:
         state = op_lcs_kplus_state(EX_X, EX_Y, 3)
         a = op_traceback(state)
         assert a.total == 7
+        assert a.chunks == ((1, 3, 4), (5, 8, 3))  # README golden: pins the tie policy
         assert validate_alignment(EX_X, EX_Y, Params(k=3, mode="op"), a)
 
     def test_deterministic(self):
@@ -103,4 +118,4 @@ class TestTraceback:
 
     def test_traceback_twice_from_same_state(self):
         state = op_lcs_kplus_state(EX_X, EX_Y, 3)
-        assert op_traceback(state) == op_traceback(state)  # queries do not mutate
+        assert op_traceback(state) == op_traceback(state)  # traceback does not mutate
