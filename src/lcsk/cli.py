@@ -14,6 +14,7 @@ import json
 import re
 import sys
 
+from .core import check_k
 from .exact import compute_tables, lcs_kplus_length, traceback
 from .op_lcs import op_lcs_kplus_length, op_lcs_kplus_state, op_traceback
 
@@ -65,6 +66,17 @@ def _grid(title: str, table, xs, ys, symbol) -> str:
     return "\n".join(lines)
 
 
+def _bad_k(ks, mode: str) -> bool:
+    """Print check_k's message for the first invalid k in ks; True if there is one."""
+    try:
+        for k in ks:
+            check_k(k, mode)
+    except ValueError as exc:
+        print(exc, file=sys.stderr)
+        return True
+    return False
+
+
 def _emit(text: str, out_path) -> None:
     if out_path:
         with open(out_path, "w") as fh:
@@ -74,8 +86,7 @@ def _emit(text: str, out_path) -> None:
 
 
 def cmd_exact(ns: argparse.Namespace) -> int:
-    if ns.k < 1:
-        print("exact mode requires k >= 1", file=sys.stderr)
+    if _bad_k([ns.k], "exact"):
         return 2
     if ns.low_mem and (ns.chunks or ns.dump_tables):
         print("--low-mem cannot produce --chunks/--dump-tables (no tables kept)", file=sys.stderr)
@@ -109,8 +120,7 @@ def cmd_exact(ns: argparse.Namespace) -> int:
 
 
 def cmd_op(ns: argparse.Namespace) -> int:
-    if ns.k < 2:
-        print("op mode requires k >= 2", file=sys.stderr)
+    if _bad_k([ns.k], "op"):
         return 2
     if ns.quiet and (ns.chunks or ns.dump_tables):
         print("--quiet conflicts with --chunks/--dump-tables", file=sys.stderr)
@@ -141,11 +151,10 @@ def cmd_bench(ns: argparse.Namespace) -> int:
     if not ns.n or not ns.k_list or ns.sigma < 1:
         print("bench needs non-empty --n/--k lists and --sigma >= 1", file=sys.stderr)
         return 2
-    if any(v < 0 for v in ns.n) or any(v < 1 for v in ns.k_list):
-        print("bench sizes must be >= 0 and k values >= 1", file=sys.stderr)
+    if any(v < 0 for v in ns.n):
+        print("bench sizes must be >= 0", file=sys.stderr)
         return 2
-    if ns.mode == "op" and any(v < 2 for v in ns.k_list):
-        print("op mode requires k >= 2", file=sys.stderr)
+    if _bad_k(ns.k_list, ns.mode):
         return 2
     rows = bench.run_cells(ns.mode, ns.n, ns.k_list, ns.sigma, ns.seed)
     if ns.out:

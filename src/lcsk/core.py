@@ -37,6 +37,8 @@ def as_items(seq: Any) -> tuple:
     if isinstance(seq, str):
         return tuple(seq)
     if hasattr(seq, "tolist"):  # numpy array: unbox to python scalars
+        if getattr(seq, "ndim", 1) != 1:
+            raise ValueError(f"sequences must be one-dimensional, got ndim={seq.ndim}")
         return tuple(seq.tolist())
     return tuple(seq)
 

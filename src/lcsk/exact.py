@@ -8,8 +8,9 @@ Quadratic DP over three tables:
   (i, j), or -1 when no chunk of length >= k can end there;
 * ``lengths[i, j]``    -- the LCS_{k+} value for the prefixes.
 
-Rows only depend on rows i-1 and i-k, so the length-only entry point keeps
-a (k+1)-row ring buffer over the shorter sequence: O(k * min(m, n)) ints.
+Rows only depend on rows i-1 and i-k.  One numpy row kernel fills them
+for both entry points: the length path keeps a (k+1)-row ring over the
+shorter sequence, O(k * min(m, n)) ints; compute_tables keeps every row.
 """
 
 from __future__ import annotations
@@ -25,16 +26,10 @@ from .core import ChunkAlignment, as_items, check_k
 def _encode(xs: tuple, ys: tuple):
     """Map symbols of both sequences onto small ints for fast numpy equality."""
     codes: dict = {}
-    out = []
-    for seq in (xs, ys):
-        arr = np.empty(len(seq), dtype=np.int32)
-        for idx, v in enumerate(seq):
-            code = codes.get(v)
-            if code is None:
-                code = codes[v] = len(codes)
-            arr[idx] = code
-        out.append(arr)
-    return out[0], out[1]
+    return tuple(
+        np.array([codes.setdefault(v, len(codes)) for v in seq], dtype=np.int32)
+        for seq in (xs, ys)
+    )
 
 
 @dataclass(frozen=True)
@@ -59,26 +54,24 @@ def match_run_table(x, y) -> np.ndarray:
 
 
 def compute_tables(x, y, k: int) -> DpTables:
-    """All three DP tables, O(mn) space; feed the result to traceback()."""
+    """All three DP tables, O(mn) space; feed the result to traceback().
+
+    The length path's row kernel fills all m+1 rows; the row offset is
+    removed in place afterwards, so no (m+1) x (n+1) temporary is made.
+    """
     k = check_k(k)
     xs, ys = as_items(x), as_items(y)
     m, n = len(xs), len(ys)
-    run = match_run_table(xs, ys)
-    lengths = np.zeros((m + 1, n + 1), dtype=np.int32)
-    chunk_max = np.full((m + 1, n + 1), -1, dtype=np.int32)
-    for i in range(1, m + 1):
-        mrow = chunk_max[i]
-        if i >= k and n >= k:
-            cand = lengths[i - k, : n + 1 - k] + k
-            lk = run[i, k:]
-            grown = chunk_max[i - 1, k - 1 : n] + 1
-            mrow[k:] = np.where(
-                lk == k, cand, np.where(lk > k, np.maximum(grown, cand), -1)
-            )
-        crow = lengths[i]
-        np.maximum(lengths[i - 1], mrow, out=crow)
-        np.maximum.accumulate(crow, out=crow)
-    return DpTables(lengths=lengths, match_run=run, chunk_max=chunk_max)
+    offset = (m + 1 - np.arange(m + 1, dtype=np.int32))[:, None]
+    lengths = np.full((m + 1, n + 1), offset, dtype=np.int32)  # score 0 in every row
+    chunk_max = np.zeros((m + 1, n + 1), dtype=np.int32)  # 0: no chunk ends here
+    if min(m, n) >= k:
+        rows = (_row_views(lengths, chunk_max, k, i) for i in range(k, m + 1))
+        _sweep_rows(*_window_ids(*_encode(xs, ys), k), k, rows)
+    lengths -= offset
+    chunk_max -= offset
+    np.maximum(chunk_max, -1, out=chunk_max)
+    return DpTables(lengths=lengths, match_run=match_run_table(xs, ys), chunk_max=chunk_max)
 
 
 def _window_ids(xa: np.ndarray, ya: np.ndarray, k: int):
@@ -102,48 +95,54 @@ def _window_ids(xa: np.ndarray, ya: np.ndarray, k: int):
     return gx.astype(dtype), gy.astype(dtype)
 
 
-def _length_rows(xa: np.ndarray, ya: np.ndarray, k: int) -> int:
-    """Row-vectorized length computation; fallback when no JIT is available.
+def _row_views(h: np.ndarray, e: np.ndarray, k: int, i: int) -> tuple:
+    """The six views row i's update uses; row r lives at h[r % len(h)], e[r % len(e)]."""
+    n = h.shape[1] - 1
+    chunk = e[i % len(e)]
+    return (h[i % len(h)], h[(i - 1) % len(h)], h[(i - k) % len(h)][: n + 1 - k],
+            chunk, chunk[k:], e[(i - 1) % len(e)][k - 1 : n])
+
+
+def _sweep_rows(xg: np.ndarray, yg: np.ndarray, k: int, rows) -> None:
+    """Row kernel of both exact paths; ``rows`` yields _row_views for rows k..m.
 
     A chunk can end at (i, j) iff the length-k windows ending there are
     equal, so one comparison of window ids replaces the match-run row.
     Row i is stored with offset m + 1 - i: h = lengths + m + 1 - i and
-    e = chunk_max + m + 1 - i, with e = 0 where no chunk ends.  Along a
-    diagonal the offset drops by one per row, which absorbs the +k of
-    lengths[i-k, j-k] + k and the +1 of chunk_max[i-1, j-1] + 1, and every
-    stored value stays positive, so multiplying by the hit mask clears e.
-    That leaves six numpy calls per row on preallocated buffers; the
-    per-row overhead matters because only the running max is O(n) work of
-    any weight.
+    e = chunk_max + m + 1 - i, e = 0 where no chunk ends (and at the start).
+    Along a diagonal the offset drops by one per row, which absorbs the +k
+    of lengths[i-k, j-k] + k and the +1 of chunk_max[i-1, j-1] + 1; stored
+    values stay positive, so multiplying by the hit mask clears e, and a
+    run of exactly k has e[i-1, j-1] = 0, so its +1 term cannot win.  Six
+    numpy calls per row on preallocated buffers: the per-row overhead
+    matters, as only the running max is O(n) work of any weight.
     """
-    m, n = len(xa), len(ya)
-    xg, yg = _window_ids(xa, ya, k)
-    w = n + 1 - k
-    ring = k + 1
-    h = np.empty((ring, n + 1), dtype=np.int32)  # ring of offset score rows
-    h[:] = (m + 1 - np.arange(ring, dtype=np.int32))[:, None]  # rows 0..k score 0
-    e = np.zeros((2, n + 1), dtype=np.int32)  # offset chunk_max, rows i-1 and i
-    one = np.ones(n + 1, dtype=np.int32)
-    hit = np.empty(w, dtype=bool)
-    # views for rows k, k+1, ...; the pattern repeats every 2 * ring rows
-    steps = [
-        (h[i % ring], h[(i - 1) % ring], h[(i - k) % ring][:w],
-         e[i % 2], e[i % 2][k:], e[(i - 1) % 2][k - 1 : n])
-        for i in range(k, k + 2 * ring)
-    ]
-    for gram, (row, up, cand, chunk, tail, diag) in zip(xg, itertools.cycle(steps)):
+    one = np.ones(len(yg) + k, dtype=np.int32)
+    hit = np.empty(len(yg), dtype=bool)
+    for gram, (row, up, cand, chunk, tail, diag) in zip(xg, rows):
         np.equal(yg, gram, out=hit)
         np.maximum(cand, diag, out=tail)
         np.multiply(tail, hit, out=tail)
         np.subtract(up, one, out=row)
         np.maximum(row, chunk, out=row)
         np.maximum.accumulate(row, out=row)
-    return int(h[m % ring, n]) - 1  # row m's offset is 1
+
+
+def _length_rows(xa: np.ndarray, ya: np.ndarray, k: int) -> int:
+    """Length fallback without JIT: _sweep_rows on rings of k+1 score rows and
+    2 chunk rows, whose views repeat every 2(k+1) rows and are built once."""
+    m, n = len(xa), len(ya)
+    xg, yg = _window_ids(xa, ya, k)
+    h = np.empty((k + 1, n + 1), dtype=np.int32)  # ring of offset score rows
+    h[:] = (m + 1 - np.arange(k + 1, dtype=np.int32))[:, None]  # rows 0..k score 0
+    e = np.zeros((2, n + 1), dtype=np.int32)  # offset chunk_max, rows i-1 and i
+    views = [_row_views(h, e, k, i) for i in range(k, k + 2 * (k + 1))]
+    _sweep_rows(xg, yg, k, itertools.cycle(views))
+    return int(h[m % (k + 1), n]) - 1  # row m's offset is 1
 
 
 def _length_cells(xa, ya, k):  # numba-compiled below when available
-    m = xa.shape[0]
-    n = ya.shape[0]
+    m, n = xa.shape[0], ya.shape[0]
     if n < k or m < k:
         return 0
     win = np.zeros((k + 1, n + 1), np.int32)
@@ -192,9 +191,8 @@ except ImportError:  # pragma: no cover - exercised only without numba
 def lcs_kplus_length(x, y, k: int) -> int:
     """LCS_{k+} length in O(k * min(m, n)) memory.
 
-    Same recurrence as compute_tables but keeps only a ring buffer of the
-    last k+1 score rows (plus two chunk rows and the window ids), iterating
-    over the longer sequence so rows span the shorter one.
+    compute_tables' row kernel on a ring of rows (or the JIT cell loop);
+    rows run over the longer sequence so that they span the shorter one.
     """
     k = check_k(k)
     xs, ys = as_items(x), as_items(y)

@@ -44,22 +44,32 @@ class OpDpState:
 
 
 def _sweep(xs: tuple, ys: tuple, k: int, keep_state: bool):
-    if any(v != v for v in xs + ys):
+    values = xs + ys
+    if any(v != v for v in values):
         raise ValueError("op mode needs totally ordered values; got NaN")
+    try:
+        sorted(values)
+    except TypeError as exc:  # e.g. str next to int
+        raise TypeError(f"op mode needs mutually comparable values: {exc}") from None
     m, n = len(xs), len(ys)
     rev_lce = build_oplce_table(xs[::-1], ys[::-1])
     lce = rev_lce.values
     full = np.zeros((m + 1, n + 1), dtype=np.int32) if keep_state else None
     rows = [[0] * (n + 1) for _ in range(k + 1)]  # row i lives at rows[i % (k+1)]
-    queues = [deque() for _ in range(m + n - 2 * k + 1)]  # diagonal i-j at i-j+n-k
+    # row i touches diagonals i-n..i-k: n-k+1 deque slots, diagonal d at d % width
+    width = max(n - k + 1, 1)
+    queues = [deque() for _ in range(width)]
     for i in range(k, m + 1):
         lvals = lce[m - i + 1][::-1].tolist()  # lvals[j-1] = opLCE(m-i+1, n-j+1)
         cur = rows[i % (k + 1)]
         prev = rows[(i - 1) % (k + 1)]
         src = rows[(i - k) % (k + 1)]
         p = i - k
+        top = p % width  # diagonal i-k takes the slot diagonal i-1-n left at (i-1, n)
+        queues[top].clear()
+        top += k
         for j in range(k, n + 1):
-            q = queues[i - j + n - k]
+            q = queues[top - j]  # slot (i-j) % width: a negative index wraps once
             v = src[j - k] - p
             while q and q[-1][1] <= v:
                 q.pop()

@@ -47,6 +47,14 @@ class TestGoldens:
                 compute_tables("abc", "abc", k)
         assert lcs_kplus_length("abc", "abc", np.int32(2)) == 3
 
+    def test_rejects_multidimensional_arrays(self):
+        x = np.array([[1, 2], [3, 4], [5, 6]])
+        for solve in (lcs_kplus_length, compute_tables):
+            with pytest.raises(ValueError, match="one-dimensional"):
+                solve(x, x, 2)
+            with pytest.raises(ValueError, match="one-dimensional"):
+                solve(np.array(7), "abc", 1)
+
 
 class TestMatchRunTable:
     def test_definitional_on_randoms(self):
@@ -105,7 +113,9 @@ class TestAgainstOracle:
                 seg = x[start : start + rng.randint(k, 2 * k)]
                 y[: len(seg)] = seg
                 xa, ya = _encode(tuple(x), tuple(y))
-                assert _length_rows(xa, ya, k) == _length_cells(xa, ya, k)
+                expected = _length_cells(xa, ya, k)
+                assert _length_rows(xa, ya, k) == expected
+                assert compute_tables(x, y, k).lengths[-1, -1] == expected
 
 
 class TestTableInvariants:
@@ -120,6 +130,29 @@ class TestTableInvariants:
         # boundary: scores are zero whenever min(i, j) < k
         bound = min(k, c.shape[0], c.shape[1])
         assert (c[:bound, :] == 0).all() and (c[:, :bound] == 0).all()
+
+
+class TestTablesAgainstDefinition:
+    def test_every_cell_on_randoms(self):
+        # independent of the row kernel: scores from the cubic oracle on
+        # every prefix pair, chunk maxima from the scores and match runs
+        rng = random.Random(4)
+        for _ in range(60):
+            k = rng.randint(1, 4)
+            sigma = rng.choice([1, 2, 3])
+            xs = [rng.randrange(sigma) for _ in range(rng.randint(0, 9))]
+            ys = [rng.randrange(sigma) for _ in range(rng.randint(0, 9))]
+            t = compute_tables(xs, ys, k)
+            assert t.lengths.dtype == t.match_run.dtype == t.chunk_max.dtype == np.int32
+            for i in range(len(xs) + 1):
+                for j in range(len(ys) + 1):
+                    assert t.lengths[i, j] == naive_lcs_kplus(xs[:i], ys[:j], k)
+                    run = int(t.match_run[i, j])
+                    best = max(
+                        (int(t.lengths[i - ln, j - ln]) + ln for ln in range(k, run + 1)),
+                        default=-1,
+                    )
+                    assert t.chunk_max[i, j] == best
 
 
 class TestTraceback:

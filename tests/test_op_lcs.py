@@ -43,6 +43,20 @@ class TestGoldens:
             with pytest.raises(ValueError, match="NaN"):
                 solve((1, 2, 3), np.array([1.0, math.nan]), 2)
 
+    def test_rejects_incomparable_symbols(self):
+        for solve in (op_lcs_kplus_length, op_lcs_kplus_state):
+            with pytest.raises(TypeError, match="op mode.*'str' and 'int'"):
+                solve([1, "a", 2], [1, 2, 3], 2)
+        assert op_lcs_kplus_length([1, 2.5, 3], (1, 2, 3), 2) == 3  # int/float mix
+
+    def test_rejects_multidimensional_arrays(self):
+        # rows of a 2-D array would be compared as lists
+        x = np.array([[1, 2], [3, 4], [5, 6]])
+        y = np.array([[2, 3], [4, 5], [6, 7]])
+        for solve in (op_lcs_kplus_length, op_lcs_kplus_state):
+            with pytest.raises(ValueError, match="one-dimensional"):
+                solve(x, y, 2)
+
     def test_degenerate_sizes(self):
         assert op_lcs_kplus_length((1, 2), (3, 4, 5), 3) == 0
         assert op_lcs_kplus_length((), (), 2) == 0
