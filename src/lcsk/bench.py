@@ -60,7 +60,7 @@ def run_cells(
     """Time every (n, k) cell; returns BenchCell rows in deterministic order."""
     solver = lcs_kplus_length if mode == "exact" else op_lcs_kplus_length
     wx, wy = generate_pair(mode, 16, sigma, seed)
-    solver(wx, wy, max(2, min(k_list, default=2)))  # warm-up (JIT, caches)
+    solver(wx, wy, max(2, min(k_list, default=2)))  # warm-up (first numpy calls, caches)
     rows = []
     for n in n_list:
         xs, ys = generate_pair(mode, n, sigma, seed)

@@ -15,7 +15,7 @@ import re
 import sys
 
 from .core import check_k
-from .exact import compute_tables, lcs_kplus_length, traceback
+from .exact import compute_tables, lcs_kplus_length, match_run_table, traceback
 from .op_lcs import op_lcs_kplus_length, op_lcs_kplus_state, op_traceback
 
 _DUMP_LIMIT = 64
@@ -113,7 +113,7 @@ def cmd_exact(ns: argparse.Namespace) -> int:
             lines.append(json.dumps(alignment.to_json(), separators=(",", ":")))
         if ns.dump_tables:
             lines.append(_grid("C", tables.lengths, xs, ys, sym))
-            lines.append(_grid("L", tables.match_run, xs, ys, sym))
+            lines.append(_grid("L", match_run_table(xs, ys), xs, ys, sym))
             lines.append(_grid("M", tables.chunk_max, xs, ys, sym))
     _emit("\n".join(lines) + "\n", ns.out)
     return 0

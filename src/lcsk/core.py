@@ -101,6 +101,38 @@ class ChunkAlignment:
         }
 
 
+def walk_chunks(lengths, k: int, chunk_lengths) -> ChunkAlignment:
+    """Back-track one optimal chunk decomposition through a score table.
+
+    ``chunk_lengths(i, j, score)`` gives the mode's candidate lengths of a
+    last chunk ending at (i, j), in its order of preference; the first ln
+    with lengths[i-ln, j-ln] + ln == score is taken.  Otherwise the walk
+    steps left, then up.  Output chunks are 1-based and ordered by position.
+    """
+    m, n = lengths.shape[0] - 1, lengths.shape[1] - 1
+    chunks = []
+    i, j = m, n
+    while i >= k and j >= k:
+        score = int(lengths[i, j])
+        if score == 0:
+            break
+        for ln in chunk_lengths(i, j, score):
+            if int(lengths[i - ln, j - ln]) + ln == score:
+                chunks.append((i - ln + 1, j - ln + 1, ln))
+                i -= ln
+                j -= ln
+                break
+        else:
+            if int(lengths[i, j - 1]) == score:
+                j -= 1
+            elif int(lengths[i - 1, j]) == score:
+                i -= 1
+            else:  # unreachable if the table satisfies its recurrence
+                raise RuntimeError("inconsistent DP table at (%d, %d)" % (i, j))
+    chunks.reverse()
+    return ChunkAlignment(total=int(lengths[m, n]), chunks=tuple(chunks))
+
+
 def validate_alignment(x, y, params: Params, alignment: ChunkAlignment) -> bool:
     """Check an alignment against Definition 1 / its op analogue.
 

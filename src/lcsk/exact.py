@@ -1,12 +1,10 @@
 """Exact-matching chunked LCS (LCS_{k+}).
 
-Quadratic DP over three tables:
+Quadratic DP over two tables:
 
-* ``match_run[i, j]``  -- length of the longest common suffix of the two
-  prefixes x(1:i), y(1:j);
+* ``lengths[i, j]``    -- the LCS_{k+} value for the prefixes x(1:i), y(1:j);
 * ``chunk_max[i, j]``  -- best total ending with a chunk that finishes at
-  (i, j), or -1 when no chunk of length >= k can end there;
-* ``lengths[i, j]``    -- the LCS_{k+} value for the prefixes.
+  (i, j), or -1 when no chunk of length >= k can end there.
 
 Rows only depend on rows i-1 and i-k.  One numpy row kernel fills them
 for both entry points: the length path keeps a (k+1)-row ring over the
@@ -20,16 +18,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ChunkAlignment, as_items, check_k
+from .core import ChunkAlignment, as_items, check_k, walk_chunks
 
 
 def _encode(xs: tuple, ys: tuple):
     """Map symbols of both sequences onto small ints for fast numpy equality."""
     codes: dict = {}
-    return tuple(
-        np.array([codes.setdefault(v, len(codes)) for v in seq], dtype=np.int32)
-        for seq in (xs, ys)
-    )
+    try:
+        return tuple(
+            np.array([codes.setdefault(v, len(codes)) for v in seq], dtype=np.int32)
+            for seq in (xs, ys)
+        )
+    except TypeError as exc:  # e.g. list symbols
+        raise TypeError(f"exact mode needs hashable symbols: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -37,7 +38,6 @@ class DpTables:
     """Full DP state for one (x, y, k) instance; arrays are (m+1) x (n+1)."""
 
     lengths: np.ndarray
-    match_run: np.ndarray
     chunk_max: np.ndarray
 
 
@@ -54,7 +54,7 @@ def match_run_table(x, y) -> np.ndarray:
 
 
 def compute_tables(x, y, k: int) -> DpTables:
-    """All three DP tables, O(mn) space; feed the result to traceback().
+    """Both DP tables, O(mn) space; feed the result to traceback().
 
     The length path's row kernel fills all m+1 rows; the row offset is
     removed in place afterwards, so no (m+1) x (n+1) temporary is made.
@@ -62,16 +62,17 @@ def compute_tables(x, y, k: int) -> DpTables:
     k = check_k(k)
     xs, ys = as_items(x), as_items(y)
     m, n = len(xs), len(ys)
+    xa, ya = _encode(xs, ys)
     offset = (m + 1 - np.arange(m + 1, dtype=np.int32))[:, None]
     lengths = np.full((m + 1, n + 1), offset, dtype=np.int32)  # score 0 in every row
     chunk_max = np.zeros((m + 1, n + 1), dtype=np.int32)  # 0: no chunk ends here
     if min(m, n) >= k:
         rows = (_row_views(lengths, chunk_max, k, i) for i in range(k, m + 1))
-        _sweep_rows(*_window_ids(*_encode(xs, ys), k), k, rows)
+        _sweep_rows(*_window_ids(xa, ya, k), k, rows)
     lengths -= offset
     chunk_max -= offset
     np.maximum(chunk_max, -1, out=chunk_max)
-    return DpTables(lengths=lengths, match_run=match_run_table(xs, ys), chunk_max=chunk_max)
+    return DpTables(lengths=lengths, chunk_max=chunk_max)
 
 
 def _window_ids(xa: np.ndarray, ya: np.ndarray, k: int):
@@ -129,8 +130,8 @@ def _sweep_rows(xg: np.ndarray, yg: np.ndarray, k: int, rows) -> None:
 
 
 def _length_rows(xa: np.ndarray, ya: np.ndarray, k: int) -> int:
-    """Length fallback without JIT: _sweep_rows on rings of k+1 score rows and
-    2 chunk rows, whose views repeat every 2(k+1) rows and are built once."""
+    """Length path: _sweep_rows on rings of k+1 score rows and 2 chunk rows,
+    whose views repeat every 2(k+1) rows and are built once."""
     m, n = len(xa), len(ya)
     xg, yg = _window_ids(xa, ya, k)
     h = np.empty((k + 1, n + 1), dtype=np.int32)  # ring of offset score rows
@@ -141,7 +142,8 @@ def _length_rows(xa: np.ndarray, ya: np.ndarray, k: int) -> int:
     return int(h[m % (k + 1), n]) - 1  # row m's offset is 1
 
 
-def _length_cells(xa, ya, k):  # numba-compiled below when available
+def _length_cells(xa, ya, k):
+    """Pure-Python per-cell reference of _length_rows; the tests compare the two."""
     m, n = xa.shape[0], ya.shape[0]
     if n < k or m < k:
         return 0
@@ -179,62 +181,37 @@ def _length_cells(xa, ya, k):  # numba-compiled below when available
     return int(win[m % (k + 1), n])
 
 
-try:  # optional JIT; identical semantics either way (tests compare the routes)
-    from numba import njit
-
-    _length_cells = njit(cache=True)(_length_cells)
-    HAVE_JIT = True
-except ImportError:  # pragma: no cover - exercised only without numba
-    HAVE_JIT = False
-
-
 def lcs_kplus_length(x, y, k: int) -> int:
     """LCS_{k+} length in O(k * min(m, n)) memory.
 
-    compute_tables' row kernel on a ring of rows (or the JIT cell loop);
-    rows run over the longer sequence so that they span the shorter one.
+    compute_tables' row kernel on a ring of rows; rows run over the longer
+    sequence so that they span the shorter one.
     """
     k = check_k(k)
     xs, ys = as_items(x), as_items(y)
     if len(xs) < len(ys):
         xs, ys = ys, xs  # the problem is symmetric; keep rows short
-    if len(ys) < k:
-        return 0
     xa, ya = _encode(xs, ys)
-    if HAVE_JIT:
-        return _length_cells(xa, ya, k)
-    return _length_rows(xa, ya, k)
+    return _length_rows(xa, ya, k) if len(ys) >= k else 0
 
 
 def traceback(tables: DpTables, x, y, k: int) -> ChunkAlignment:
     """Recover one optimal chunk decomposition from full tables.
 
     Deterministic tie policy: take a chunk whenever chunk_max attains the
-    score, using the largest consistent length; otherwise step left before
-    up.  Output chunks are 1-based and ordered by position.
+    score, using the largest consistent length, at most the common-suffix
+    run at (i, j); otherwise step left before up.  The run is counted only
+    at those cells, on the symbol codes the tables were built from.
     """
-    lengths, run, chunk_max = tables.lengths, tables.match_run, tables.chunk_max
-    m, n = lengths.shape[0] - 1, lengths.shape[1] - 1
-    chunks = []
-    i, j = m, n
-    while i >= k and j >= k:
-        score = int(lengths[i, j])
-        if score == 0:
-            break
-        if int(chunk_max[i, j]) == score:
-            ln = 0
-            for cand_ln in range(int(run[i, j]), k - 1, -1):
-                if int(lengths[i - cand_ln, j - cand_ln]) + cand_ln == score:
-                    ln = cand_ln
-                    break
-            if ln == 0:  # unreachable if the tables satisfy the recurrences
-                raise RuntimeError("inconsistent DP tables at (%d, %d)" % (i, j))
-            chunks.append((i - ln + 1, j - ln + 1, ln))
-            i -= ln
-            j -= ln
-        elif int(lengths[i, j - 1]) == score:
-            j -= 1
-        else:
-            i -= 1
-    chunks.reverse()
-    return ChunkAlignment(total=int(lengths[m, n]), chunks=tuple(chunks))
+    xa, ya = (a.tolist() for a in _encode(as_items(x), as_items(y)))
+    chunk_max = tables.chunk_max
+
+    def chunk_lengths(i, j, score):
+        if int(chunk_max[i, j]) != score:
+            return ()
+        run = 0
+        while run < i and run < j and xa[i - 1 - run] == ya[j - 1 - run]:
+            run += 1
+        return range(run, k - 1, -1)
+
+    return walk_chunks(tables.lengths, k, chunk_lengths)

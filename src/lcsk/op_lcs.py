@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ChunkAlignment, as_items, check_k
+from .core import ChunkAlignment, as_items, check_k, walk_chunks
 from .order_iso import OpLceTable, build_oplce_table
 
 
@@ -59,8 +59,13 @@ def _sweep(xs: tuple, ys: tuple, k: int, keep_state: bool):
     # row i touches diagonals i-n..i-k: n-k+1 deque slots, diagonal d at d % width
     width = max(n - k + 1, 1)
     queues = [deque() for _ in range(width)]
+    cols = np.arange(k, n + 1, dtype=np.int32)
     for i in range(k, m + 1):
-        lvals = lce[m - i + 1][::-1].tolist()  # lvals[j-1] = opLCE(m-i+1, n-j+1)
+        lrow = lce[m - i + 1][::-1]  # lrow[j-1] = opLCE(m-i+1, n-j+1)
+        # LCE is capped by the suffix lengths: ell(i, j) <= min(i, j) for j >= k
+        capped = lrow[k - 1 : n] <= np.minimum(cols, i)
+        assert capped.all(), f"op LCE row {i} exceeds min(i, j)"
+        lvals = lrow.tolist()
         cur = rows[i % (k + 1)]
         prev = rows[(i - 1) % (k + 1)]
         src = rows[(i - k) % (k + 1)]
@@ -82,7 +87,6 @@ def _sweep(xs: tuple, ys: tuple, k: int, keep_state: bool):
             if prev[j] > best:
                 best = prev[j]
             if ell >= k:
-                assert ell <= (i if i < j else j)  # LCE is capped by the suffix lengths
                 cand = q[0][1] + i
                 if cand > best:
                     best = cand
@@ -114,29 +118,10 @@ def op_traceback(state: OpDpState) -> ChunkAlignment:
     [k, ell] reproduces the cell's score, using the shortest such length;
     otherwise step left, then up.
     """
-    lengths = state.lengths
-    lce = state.oplce.values
-    k = state.k
-    m, n = lengths.shape[0] - 1, lengths.shape[1] - 1
-    chunks = []
-    i, j = m, n
-    while i >= k and j >= k:
-        score = int(lengths[i, j])
-        if score == 0:
-            break
-        ell = int(lce[m - i + 1, n - j + 1])
-        for ln in range(k, ell + 1):
-            if int(lengths[i - ln, j - ln]) + ln == score:
-                chunks.append((i - ln + 1, j - ln + 1, ln))
-                i -= ln
-                j -= ln
-                break
-        else:
-            if int(lengths[i, j - 1]) == score:
-                j -= 1
-            elif int(lengths[i - 1, j]) == score:
-                i -= 1
-            else:  # unreachable if the sweep satisfied its recurrence
-                raise RuntimeError("inconsistent op DP state at (%d, %d)" % (i, j))
-    chunks.reverse()
-    return ChunkAlignment(total=int(lengths[m, n]), chunks=tuple(chunks))
+    lce, k = state.oplce.values, state.k
+    m, n = lce.shape[0] - 1, lce.shape[1] - 1
+
+    def chunk_lengths(i, j, score):
+        return range(k, int(lce[m - i + 1, n - j + 1]) + 1)
+
+    return walk_chunks(state.lengths, k, chunk_lengths)

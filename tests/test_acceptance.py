@@ -40,7 +40,7 @@ def _report(num, ok, desc):
 
 
 def _best_of(fn, repeats=5):
-    fn()  # warm-up (JIT compilation, caches) is excluded from timing
+    fn()  # warm-up (first numpy calls, caches) is excluded from timing
     best = min(_timed(fn) for _ in range(repeats))
     return best
 

@@ -9,6 +9,42 @@ from lcsk.core import ChunkAlignment, Params, validate_alignment
 
 EX_X = "acdbacbc"
 EX_Y = "aacdabca"
+EX_DUMP_K2 = """\
+5
+C:
+    -  a  a  c  d  a  b  c  a
+ -  0  0  0  0  0  0  0  0  0
+ a  0  0  0  0  0  0  0  0  0
+ c  0  0  0  2  2  2  2  2  2
+ d  0  0  0  2  3  3  3  3  3
+ b  0  0  0  2  3  3  3  3  3
+ a  0  0  0  2  3  3  3  3  3
+ c  0  0  0  2  3  3  3  3  3
+ b  0  0  0  2  3  3  3  3  3
+ c  0  0  0  2  3  3  3  5  5
+L:
+    -  a  a  c  d  a  b  c  a
+ -  0  0  0  0  0  0  0  0  0
+ a  0  1  1  0  0  1  0  0  1
+ c  0  0  0  2  0  0  0  1  0
+ d  0  0  0  0  3  0  0  0  0
+ b  0  0  0  0  0  0  1  0  0
+ a  0  1  1  0  0  1  0  0  1
+ c  0  0  0  2  0  0  0  1  0
+ b  0  0  0  0  0  0  1  0  0
+ c  0  0  0  1  0  0  0  2  0
+M:
+    -  a  a  c  d  a  b  c  a
+ - -1 -1 -1 -1 -1 -1 -1 -1 -1
+ a -1 -1 -1 -1 -1 -1 -1 -1 -1
+ c -1 -1 -1  2 -1 -1 -1 -1 -1
+ d -1 -1 -1 -1  3 -1 -1 -1 -1
+ b -1 -1 -1 -1 -1 -1 -1 -1 -1
+ a -1 -1 -1 -1 -1 -1 -1 -1 -1
+ c -1 -1 -1  2 -1 -1 -1 -1 -1
+ b -1 -1 -1 -1 -1 -1 -1 -1 -1
+ c -1 -1 -1 -1 -1 -1 -1  5 -1
+"""
 OP_X = "14, 84, 82, 31, 74, 68, 87, 11, 20, 32"
 OP_Y = "21 64 2 83 73 51 5 29 7 71"
 
@@ -68,6 +104,13 @@ class TestExact:
         code, out, _ = run(capsys, ["exact", x, y, "--k", "2", "--dump-tables"])
         assert code == 0
         assert "C:" in out and "L:" in out and "M:" in out
+
+    def test_dump_tables_golden(self, files, capsys):
+        # the L grid is built outside DpTables; pin all three grids
+        x, y = files("x", EX_X), files("y", EX_Y)
+        code, out, _ = run(capsys, ["exact", x, y, "--k", "2", "--dump-tables"])
+        assert code == 0
+        assert out == EX_DUMP_K2
 
     def test_dump_tables_size_limit(self, files, capsys):
         x, y = files("x", "a" * 65), files("y", "a")

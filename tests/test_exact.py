@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from lcsk.core import Params, validate_alignment
 from lcsk.exact import (
+    DpTables,
     _length_cells,
     _length_rows,
     _encode,
@@ -55,6 +56,13 @@ class TestGoldens:
             with pytest.raises(ValueError, match="one-dimensional"):
                 solve(np.array(7), "abc", 1)
 
+    def test_rejects_unhashable_symbols(self):
+        # also when the inputs are shorter than k, where no table is filled
+        for solve in (lcs_kplus_length, compute_tables):
+            for x, y, k in (([[1], [2]], [[1], [2]], 1), ([[1], [2]], [[1]], 2)):
+                with pytest.raises(TypeError, match="exact mode needs hashable symbols"):
+                    solve(x, y, k)
+
 
 class TestMatchRunTable:
     def test_definitional_on_randoms(self):
@@ -96,7 +104,7 @@ class TestAgainstOracle:
 
     @given(seqs, seqs, st.integers(1, 6))
     def test_vector_and_cell_routes_agree(self, xs, ys, k):
-        # the JIT kernel and the numpy row fallback must be interchangeable
+        # _length_cells is the per-cell reference for the numpy row kernel
         assume(min(len(xs), len(ys)) >= k)
         xa, ya = _encode(tuple(xs), tuple(ys))
         assert _length_cells(xa, ya, k) == _length_rows(xa, ya, k)
@@ -126,7 +134,7 @@ class TestTableInvariants:
         assert (np.diff(c, axis=0) >= 0).all()
         assert (np.diff(c, axis=1) >= 0).all()
         # chunk_max is -1 exactly where no chunk of length >= k can end
-        assert ((t.chunk_max == -1) == (t.match_run < k)).all()
+        assert ((t.chunk_max == -1) == (match_run_table(xs, ys) < k)).all()
         # boundary: scores are zero whenever min(i, j) < k
         bound = min(k, c.shape[0], c.shape[1])
         assert (c[:bound, :] == 0).all() and (c[:, :bound] == 0).all()
@@ -143,11 +151,12 @@ class TestTablesAgainstDefinition:
             xs = [rng.randrange(sigma) for _ in range(rng.randint(0, 9))]
             ys = [rng.randrange(sigma) for _ in range(rng.randint(0, 9))]
             t = compute_tables(xs, ys, k)
-            assert t.lengths.dtype == t.match_run.dtype == t.chunk_max.dtype == np.int32
+            runs = match_run_table(xs, ys)
+            assert t.lengths.dtype == runs.dtype == t.chunk_max.dtype == np.int32
             for i in range(len(xs) + 1):
                 for j in range(len(ys) + 1):
                     assert t.lengths[i, j] == naive_lcs_kplus(xs[:i], ys[:j], k)
-                    run = int(t.match_run[i, j])
+                    run = int(runs[i, j])
                     best = max(
                         (int(t.lengths[i - ln, j - ln]) + ln for ln in range(k, run + 1)),
                         default=-1,
@@ -180,6 +189,14 @@ class TestTraceback:
         a = traceback(tables, xs, ys, k)
         assert a.total == naive_lcs_kplus(xs, ys, k)
         assert validate_alignment(xs, ys, Params(k=k), a)
+
+    def test_dead_end_raises(self):
+        # a score that neither a chunk, the left cell nor the upper cell explains
+        t = compute_tables("abc", "xyz", 1)
+        lengths = t.lengths.copy()
+        lengths[3, 3] = 2
+        with pytest.raises(RuntimeError, match=r"inconsistent DP table at \(3, 3\)"):
+            traceback(DpTables(lengths=lengths, chunk_max=t.chunk_max), "abc", "xyz", 1)
 
     @given(seqs, seqs, st.integers(1, 5))
     def test_deterministic(self, xs, ys, k):

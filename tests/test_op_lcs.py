@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import lcsk.op_lcs
 from lcsk.core import Params, validate_alignment
 from lcsk.op_lcs import op_lcs_kplus_length, op_lcs_kplus_state, op_traceback
 from lcsk.oracles import naive_op_lcs_kplus
@@ -56,6 +57,23 @@ class TestGoldens:
         for solve in (op_lcs_kplus_length, op_lcs_kplus_state):
             with pytest.raises(ValueError, match="one-dimensional"):
                 solve(x, y, 2)
+
+    @pytest.mark.parametrize("cell", ["last", "first"])
+    def test_lce_above_its_cap_is_caught(self, monkeypatch, cell):
+        # ell(i, j) <= min(i, j) is checked once per row, on every column j >= k;
+        # inflate the entry read at (m, n) or at (k, k), where ell < k before
+        build = lcsk.op_lcs.build_oplce_table
+        m, n, k = len(EX_X), len(EX_Y), 3
+        i, j = (m, n) if cell == "last" else (k, k)
+
+        def inflated(s1, s2):
+            table = build(s1, s2)
+            table.values[m - i + 1, n - j + 1] = min(i, j) + 1
+            return table
+
+        monkeypatch.setattr(lcsk.op_lcs, "build_oplce_table", inflated)
+        with pytest.raises(AssertionError, match=f"op LCE row {i} exceeds"):
+            op_lcs_kplus_length(EX_X, EX_Y, k)
 
     def test_degenerate_sizes(self):
         assert op_lcs_kplus_length((1, 2), (3, 4, 5), 3) == 0
