@@ -7,6 +7,7 @@ plus the growth ratio between consecutive sizes.  With the default grid
 Usage:
     python scripts/run_scaling.py
     python scripts/run_scaling.py --mode exact --n 1000,2000,4000 --k 3
+    python scripts/run_scaling.py --mode op --n 2000 --k 2,3,5,10,20
 """
 
 import argparse
@@ -21,20 +22,22 @@ def main(argv=None):
     parser.add_argument("--mode", choices=("exact", "op", "both"), default="both")
     parser.add_argument("--n", type=_int_list, default=[2000, 4000],
                         help="comma-separated input lengths (default: 2000,4000)")
-    parser.add_argument("--k", type=int, default=3, help="minimum chunk length")
+    parser.add_argument("--k", type=_int_list, default=[3],
+                        help="comma-separated minimum chunk lengths (default: 3)")
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args(argv)
 
     modes = ("exact", "op") if args.mode == "both" else (args.mode,)
     for mode in modes:
         sigma = 4 if mode == "exact" else 1000
-        cells = run_cells(mode, args.n, [args.k], sigma=sigma, seed=args.seed)
-        print(f"mode={mode} k={args.k} sigma={sigma}")
-        prev = None
-        for cell in cells:
-            ratio = "" if prev is None else f"  x{cell.seconds / prev:.2f}"
-            print(f"  n={cell.n:>6}  {cell.seconds:9.4f}s  length={cell.length}{ratio}")
-            prev = cell.seconds
+        cells = run_cells(mode, args.n, args.k, sigma=sigma, seed=args.seed)
+        for k in args.k:
+            print(f"mode={mode} k={k} sigma={sigma}")
+            prev = None
+            for cell in (c for c in cells if c.k == k):
+                ratio = "" if prev is None else f"  x{cell.seconds / prev:.2f}"
+                print(f"  n={cell.n:>6}  {cell.seconds:9.4f}s  length={cell.length}{ratio}")
+                prev = cell.seconds
     return 0
 
 

@@ -28,6 +28,15 @@ def check_k(k, mode: str = "exact") -> int:
     return int(k)
 
 
+def has_nan(values) -> bool:
+    """True if some value, or an item of a tuple value, is NaN.
+
+    A NaN is not equal to itself, but tuples and dicts compare items by
+    identity first, so answers on NaN would depend on object identity.
+    """
+    return any(has_nan(v) if isinstance(v, tuple) else v != v for v in values)
+
+
 def as_items(seq: Any) -> tuple:
     """Coerce str/bytes/list/tuple/ndarray/Sequence into a plain tuple of symbols."""
     if isinstance(seq, Sequence):

@@ -18,19 +18,27 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ChunkAlignment, as_items, check_k, walk_chunks
+from .core import ChunkAlignment, as_items, check_k, has_nan, walk_chunks
 
 
 def _encode(xs: tuple, ys: tuple):
-    """Map symbols of both sequences onto small ints for fast numpy equality."""
+    """Map symbols of both sequences onto small ints for fast numpy equality.
+
+    NaN, bare or inside a tuple, is rejected: a dict matches one shared NaN
+    object by identity but not two distinct ones, so the answer would
+    depend on object identity.  Only the distinct symbols are checked.
+    """
     codes: dict = {}
     try:
-        return tuple(
+        encoded = tuple(
             np.array([codes.setdefault(v, len(codes)) for v in seq], dtype=np.int32)
             for seq in (xs, ys)
         )
     except TypeError as exc:  # e.g. list symbols
         raise TypeError(f"exact mode needs hashable symbols: {exc}") from None
+    if has_nan(codes):
+        raise ValueError("exact mode needs symbols equal to themselves; got NaN")
+    return encoded
 
 
 @dataclass(frozen=True)

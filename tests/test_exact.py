@@ -64,6 +64,24 @@ class TestGoldens:
                     solve(x, y, k)
 
 
+    def test_rejects_nan(self):
+        # one shared nan object used to match itself, two distinct ones did not
+        nan = float("nan")
+        cases = (
+            ([nan, 1.0], [nan, 1.0], 1),  # one shared object
+            ([float("nan"), 1.0], [float("nan"), 1.0], 1),  # distinct objects
+            (np.array([1.0, np.nan, 2.0]), np.array([1.0, np.nan, 2.0]), 1),
+            (np.array([np.nan]), "ab", 2),  # shorter than k: no table is filled
+            ([(nan,), 1], [(nan,), 1], 1),  # tuples compare items by identity too
+            ([(1, (float("nan"),))], [(1, (float("nan"),))], 1),
+        )
+        for solve in (lcs_kplus_length, compute_tables):
+            for x, y, k in cases:
+                with pytest.raises(ValueError, match="NaN"):
+                    solve(x, y, k)
+        assert lcs_kplus_length(np.array([1.0, 2.0]), [1.0, 2.0], 2) == 2
+
+
 class TestMatchRunTable:
     def test_definitional_on_randoms(self):
         rng = random.Random(0)

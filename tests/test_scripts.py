@@ -13,3 +13,13 @@ def test_demo_examples_runs_and_every_witness_is_valid(capsys):
     out = capsys.readouterr().out
     verdicts = [line.rsplit("valid=", 1)[1] for line in out.splitlines() if "valid=" in line]
     assert verdicts == ["True"] * 3
+
+
+def test_run_scaling_prints_one_block_per_k(capsys):
+    main = runpy.run_path(str(SCRIPTS / "run_scaling.py"))["main"]
+    assert main(["--mode", "op", "--n", "40,80", "--k", "2,3"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split()[:2] for line in lines[::3]] == [["mode=op", "k=2"], ["mode=op", "k=3"]]
+    for first, second in zip(lines[1::3], lines[2::3]):
+        assert first.split()[0] == "n=" and "  x" not in first
+        assert second.split()[0] == "n=" and second.split()[-1].startswith("x")
