@@ -6,7 +6,14 @@ chunks up to order-isomorphism instead of equality.  Both run in O(mn).
 """
 
 from .core import ChunkAlignment, Params, Sequence, validate_alignment
-from .exact import DpTables, compute_tables, lcs_kplus_length, match_run_table, traceback
+from .exact import (
+    DpTables,
+    chunk_max_table,
+    compute_tables,
+    lcs_kplus_length,
+    match_run_table,
+    traceback,
+)
 from .op_lcs import OpDpState, op_lcs_kplus_length, op_lcs_kplus_state, op_traceback
 from .order_iso import (
     OpLceTable,
@@ -35,6 +42,7 @@ __all__ = [
     "SortedPositions",
     "TwoDMinHeap",
     "build_oplce_table",
+    "chunk_max_table",
     "compute_tables",
     "lcs_kplus_length",
     "match_run_table",

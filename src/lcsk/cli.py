@@ -10,12 +10,13 @@ error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import re
 import sys
 
 from .core import check_k
-from .exact import compute_tables, lcs_kplus_length, match_run_table, traceback
+from .exact import chunk_max_table, compute_tables, lcs_kplus_length, match_run_table, traceback
 from .op_lcs import op_lcs_kplus_length, op_lcs_kplus_state, op_traceback
 
 _DUMP_LIMIT = 64
@@ -39,6 +40,10 @@ def _read_exact_file(path: str) -> tuple:
 def _read_op_file(path: str) -> tuple:
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
+    try:
+        return tuple(map(int, text.replace(",", " ").split()))
+    except ValueError:
+        pass  # the token loop below finds the bad token and its position
     values = []
     for lineno, line in enumerate(text.splitlines(), start=1):
         for match in _TOKEN.finditer(line):
@@ -114,7 +119,7 @@ def cmd_exact(ns: argparse.Namespace) -> int:
         if ns.dump_tables:
             lines.append(_grid("C", tables.lengths, xs, ys, sym))
             lines.append(_grid("L", match_run_table(xs, ys), xs, ys, sym))
-            lines.append(_grid("M", tables.chunk_max, xs, ys, sym))
+            lines.append(_grid("M", chunk_max_table(xs, ys, ns.k), xs, ys, sym))
     _emit("\n".join(lines) + "\n", ns.out)
     return 0
 
@@ -210,8 +215,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# built on the first call of main, not at import, and reused after that
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    ns = build_parser().parse_args(argv)
+    ns = _parser().parse_args(argv)
     try:
         return ns.func(ns)
     except _ParseFailure as exc:

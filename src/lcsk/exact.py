@@ -1,14 +1,17 @@
 """Exact-matching chunked LCS (LCS_{k+}).
 
-Quadratic DP over two tables:
+Quadratic DP over two quantities:
 
 * ``lengths[i, j]``    -- the LCS_{k+} value for the prefixes x(1:i), y(1:j);
 * ``chunk_max[i, j]``  -- best total ending with a chunk that finishes at
   (i, j), or -1 when no chunk of length >= k can end there.
 
-Rows only depend on rows i-1 and i-k.  One numpy row kernel fills them
-for both entry points: the length path keeps a (k+1)-row ring over the
-shorter sequence, O(k * min(m, n)) ints; compute_tables keeps every row.
+Rows only depend on rows i-1 and i-k of lengths and row i-1 of chunk_max.
+One numpy row kernel fills them for every entry point: the length path
+keeps a (k+1)-row ring over the shorter sequence, O(k * min(m, n)) ints;
+compute_tables keeps every score row but only two chunk_max rows, since
+the traceback needs the scores alone (4 bytes per cell).  chunk_max_table
+keeps every chunk_max row, for display and tests.
 """
 
 from __future__ import annotations
@@ -43,10 +46,10 @@ def _encode(xs: tuple, ys: tuple):
 
 @dataclass(frozen=True)
 class DpTables:
-    """Full DP state for one (x, y, k) instance; arrays are (m+1) x (n+1)."""
+    """Witness state for one (x, y, k) instance: the (m+1) x (n+1) int32
+    score table ``lengths``."""
 
     lengths: np.ndarray
-    chunk_max: np.ndarray
 
 
 def match_run_table(x, y) -> np.ndarray:
@@ -61,26 +64,40 @@ def match_run_table(x, y) -> np.ndarray:
     return run
 
 
-def compute_tables(x, y, k: int) -> DpTables:
-    """Both DP tables, O(mn) space; feed the result to traceback().
+def _full_rows(x, y, k: int, chunk_rows):
+    """Every score row plus a ring of chunk rows (None: every row), as the
+    row kernel leaves them; returns (lengths, offset chunk rows, row offset).
 
-    The length path's row kernel fills all m+1 rows; the row offset is
-    removed in place afterwards, so no (m+1) x (n+1) temporary is made.
+    The row offset is removed from lengths in place, so no (m+1) x (n+1)
+    temporary is made.
     """
     k = check_k(k)
-    xs, ys = as_items(x), as_items(y)
-    m, n = len(xs), len(ys)
-    xa, ya = _encode(xs, ys)
+    xa, ya = _encode(as_items(x), as_items(y))
+    m, n = len(xa), len(ya)
     offset = (m + 1 - np.arange(m + 1, dtype=np.int32))[:, None]
     lengths = np.full((m + 1, n + 1), offset, dtype=np.int32)  # score 0 in every row
-    chunk_max = np.zeros((m + 1, n + 1), dtype=np.int32)  # 0: no chunk ends here
+    chunk = np.zeros((chunk_rows or m + 1, n + 1), dtype=np.int32)  # 0: no chunk ends here
     if min(m, n) >= k:
-        rows = (_row_views(lengths, chunk_max, k, i) for i in range(k, m + 1))
+        rows = (_row_views(lengths, chunk, k, i) for i in range(k, m + 1))
         _sweep_rows(*_window_ids(xa, ya, k), k, rows)
     lengths -= offset
+    return lengths, chunk, offset
+
+
+def compute_tables(x, y, k: int) -> DpTables:
+    """The score table, O(mn) space; feed the result to traceback().
+
+    The row kernel needs chunk_max of row i-1 only, so two chunk rows do.
+    """
+    return DpTables(lengths=_full_rows(x, y, k, 2)[0])
+
+
+def chunk_max_table(x, y, k: int) -> np.ndarray:
+    """The (m+1) x (n+1) chunk_max table: the best total ending with a chunk
+    that finishes at (i, j), or -1 where no chunk of length >= k can end."""
+    _, chunk_max, offset = _full_rows(x, y, k, None)
     chunk_max -= offset
-    np.maximum(chunk_max, -1, out=chunk_max)
-    return DpTables(lengths=lengths, chunk_max=chunk_max)
+    return np.maximum(chunk_max, -1, out=chunk_max)
 
 
 def _window_ids(xa: np.ndarray, ya: np.ndarray, k: int):
@@ -204,19 +221,18 @@ def lcs_kplus_length(x, y, k: int) -> int:
 
 
 def traceback(tables: DpTables, x, y, k: int) -> ChunkAlignment:
-    """Recover one optimal chunk decomposition from full tables.
+    """Recover one optimal chunk decomposition from the score table.
 
-    Deterministic tie policy: take a chunk whenever chunk_max attains the
-    score, using the largest consistent length, at most the common-suffix
-    run at (i, j); otherwise step left before up.  The run is counted only
-    at those cells, on the symbol codes the tables were built from.
+    Deterministic tie policy: take the largest chunk length, at most the
+    common-suffix run at (i, j), that reproduces the score; otherwise step
+    left before up.  Some length in [k, run] reproduces the score iff
+    chunk_max[i, j] attains it, so no chunk_max table is needed.  The run is
+    counted at every cell on the path, on the symbol codes the table was
+    built from: O((m + n) * min(m, n)) in the worst case.
     """
     xa, ya = (a.tolist() for a in _encode(as_items(x), as_items(y)))
-    chunk_max = tables.chunk_max
 
     def chunk_lengths(i, j, score):
-        if int(chunk_max[i, j]) != score:
-            return ()
         run = 0
         while run < i and run < j and xa[i - 1 - run] == ya[j - 1 - run]:
             run += 1

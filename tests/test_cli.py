@@ -1,10 +1,15 @@
+import contextlib
+import io
 import json
 import random
+import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lcsk.bench import generate_pair, run_cells
-from lcsk.cli import main
+from lcsk.cli import _read_op_file, main
 from lcsk.core import ChunkAlignment, Params, validate_alignment
 
 EX_X = "acdbacbc"
@@ -47,6 +52,37 @@ M:
 """
 OP_X = "14, 84, 82, 31, 74, 68, 87, 11, 20, 32"
 OP_Y = "21 64 2 83 73 51 5 29 7 71"
+
+# separators of op files: commas and any Unicode whitespace, line breaks included
+SEPARATORS = [",", " ", "\t", "\n", "\r\n", "\r", ", ", "\x0b", "\x0c", "\x1c", "\x85",
+              "\u00a0", "\u2003", "\u2028", "\u3000"]
+int_tokens = st.integers(-10**20, 10**20).flatmap(lambda v: st.sampled_from(
+    [str(v), f"{v:_d}", f"+{v}" if v >= 0 else str(v), f"0{v}" if v > 0 else str(v)]))
+
+
+def token_loop(text: str, path: str):
+    """Reference reader: the values of every token, or the first bad token's error."""
+    values = []
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        for match in re.finditer(r"[^\s,]+", line):
+            try:
+                values.append(int(match.group()))
+            except ValueError:
+                return f"{path}:{lineno}:{match.start() + 1}: not an integer: {match.group()!r}"
+    return tuple(values)
+
+
+@st.composite
+def op_texts(draw, bad_tokens=None):
+    """Tokens joined by runs of separators, one of them drawn from bad_tokens if given."""
+    tokens = draw(st.lists(int_tokens, max_size=12))
+    if bad_tokens is not None:
+        tokens.insert(draw(st.integers(0, len(tokens))), draw(bad_tokens))
+    seps = st.lists(st.sampled_from(SEPARATORS), min_size=1, max_size=3).map("".join)
+    parts = [draw(st.sampled_from(["", *SEPARATORS]))]
+    for tok in tokens:
+        parts += [tok, draw(seps)]
+    return "".join(parts)
 
 
 @pytest.fixture()
@@ -180,6 +216,29 @@ class TestOp:
         code, _, err = run(capsys, ["op", x, y, "--k", "2"])
         assert code == 1
         assert ":2:4:" in err and "oops" in err
+
+    @given(op_texts())
+    @settings(max_examples=200)
+    def test_reader_equals_token_loop(self, tmp_path_factory, text):
+        path = tmp_path_factory.mktemp("op") / "x"
+        path.write_bytes(text.encode("utf-8"))
+        # the file is read in text mode, which turns \r\n and \r into \n
+        assert _read_op_file(str(path)) == token_loop(text, str(path))
+
+    @given(op_texts(st.sampled_from(["1.5", "x7", "1__0", "--3", "0x10", "nan", "5-", "+"])))
+    @settings(max_examples=100)
+    def test_bad_token_message_and_exit_code(self, tmp_path_factory, text):
+        path = tmp_path_factory.mktemp("op") / "x"
+        path.write_bytes(text.encode("utf-8"))
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = main(["op", str(path), str(path), "--k", "2", "--quiet"])
+        assert code == 1 and err.getvalue() == token_loop(text, str(path)) + "\n"
+
+    def test_bad_token_position_with_crlf_and_tabs(self, files, capsys):
+        x = files("x", b"1 2\r\n3,\t+4 x7\r\n", binary=True)
+        code, _, err = run(capsys, ["op", x, x, "--k", "2"])
+        assert code == 1 and err == f"{x}:2:7: not an integer: 'x7'\n"
 
     def test_empty_file(self, files, capsys):
         x, y = files("x", ""), files("y", OP_Y)

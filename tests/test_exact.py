@@ -1,16 +1,18 @@
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from lcsk.core import Params, validate_alignment
+from lcsk.core import Params, validate_alignment, walk_chunks
 from lcsk.exact import (
     DpTables,
     _length_cells,
     _length_rows,
     _encode,
+    chunk_max_table,
     compute_tables,
     lcs_kplus_length,
     match_run_table,
@@ -20,6 +22,17 @@ from lcsk.oracles import naive_lcs_kplus, textbook_lcs
 
 symbols = st.integers(0, 3)
 seqs = st.lists(symbols, max_size=24).map(tuple)
+
+
+@st.composite
+def planted_pairs(draw):
+    """Two random sequences that share a segment at random positions."""
+    x = draw(st.lists(symbols, max_size=20))
+    y = draw(st.lists(symbols, max_size=20))
+    seg = draw(st.lists(symbols, min_size=1, max_size=12))
+    i = draw(st.integers(0, len(x)))
+    j = draw(st.integers(0, len(y)))
+    return tuple(x[:i] + seg + x[i:]), tuple(y[:j] + seg + y[j:])
 
 
 class TestGoldens:
@@ -147,12 +160,11 @@ class TestAgainstOracle:
 class TestTableInvariants:
     @given(seqs, seqs, st.integers(1, 6))
     def test_scores_monotone_and_chunk_sentinel(self, xs, ys, k):
-        t = compute_tables(xs, ys, k)
-        c = t.lengths
+        c = compute_tables(xs, ys, k).lengths
         assert (np.diff(c, axis=0) >= 0).all()
         assert (np.diff(c, axis=1) >= 0).all()
         # chunk_max is -1 exactly where no chunk of length >= k can end
-        assert ((t.chunk_max == -1) == (match_run_table(xs, ys) < k)).all()
+        assert ((chunk_max_table(xs, ys, k) == -1) == (match_run_table(xs, ys) < k)).all()
         # boundary: scores are zero whenever min(i, j) < k
         bound = min(k, c.shape[0], c.shape[1])
         assert (c[:bound, :] == 0).all() and (c[:, :bound] == 0).all()
@@ -169,8 +181,9 @@ class TestTablesAgainstDefinition:
             xs = [rng.randrange(sigma) for _ in range(rng.randint(0, 9))]
             ys = [rng.randrange(sigma) for _ in range(rng.randint(0, 9))]
             t = compute_tables(xs, ys, k)
+            chunk_max = chunk_max_table(xs, ys, k)
             runs = match_run_table(xs, ys)
-            assert t.lengths.dtype == runs.dtype == t.chunk_max.dtype == np.int32
+            assert t.lengths.dtype == runs.dtype == chunk_max.dtype == np.int32
             for i in range(len(xs) + 1):
                 for j in range(len(ys) + 1):
                     assert t.lengths[i, j] == naive_lcs_kplus(xs[:i], ys[:j], k)
@@ -179,7 +192,7 @@ class TestTablesAgainstDefinition:
                         (int(t.lengths[i - ln, j - ln]) + ln for ln in range(k, run + 1)),
                         default=-1,
                     )
-                    assert t.chunk_max[i, j] == best
+                    assert chunk_max[i, j] == best
 
 
 class TestTraceback:
@@ -214,10 +227,41 @@ class TestTraceback:
         lengths = t.lengths.copy()
         lengths[3, 3] = 2
         with pytest.raises(RuntimeError, match=r"inconsistent DP table at \(3, 3\)"):
-            traceback(DpTables(lengths=lengths, chunk_max=t.chunk_max), "abc", "xyz", 1)
+            traceback(DpTables(lengths=lengths), "abc", "xyz", 1)
 
     @given(seqs, seqs, st.integers(1, 5))
     def test_deterministic(self, xs, ys, k):
         t1 = traceback(compute_tables(xs, ys, k), xs, ys, k)
         t2 = traceback(compute_tables(xs, ys, k), xs, ys, k)
         assert t1 == t2
+
+    @given(st.one_of(st.tuples(seqs, seqs), planted_pairs()), st.integers(1, 6))
+    @settings(max_examples=200)
+    def test_same_walk_as_chunk_max_gate(self, pair, k):
+        # reference: the walk that takes a chunk only where chunk_max attains
+        # the score, with the run read from match_run_table
+        xs, ys = pair
+        tables = compute_tables(xs, ys, k)
+        chunk_max, runs = chunk_max_table(xs, ys, k), match_run_table(xs, ys)
+
+        def gated(i, j, score):
+            if chunk_max[i, j] != score:
+                return ()
+            return range(int(runs[i, j]), k - 1, -1)
+
+        assert traceback(tables, xs, ys, k) == walk_chunks(tables.lengths, k, gated)
+
+    def test_witness_peak_is_one_int32_grid(self):
+        # lengths is 4 B/cell; a full chunk_max grid would add 4 more
+        rng = random.Random(6)
+        x = "".join(rng.choice("ACGT") for _ in range(600))
+        y = x[:200] + "".join(rng.choice("ACGT") for _ in range(400))
+        tracemalloc.start()
+        try:
+            tables = compute_tables(x, y, 3)
+            a = traceback(tables, x, y, 3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert a.total >= 200
+        assert peak < 5 * 601 * 601
