@@ -4,7 +4,7 @@ Input formats: exact mode reads each sequence as raw bytes (one trailing
 newline stripped); op mode reads comma- or whitespace-separated signed
 integers.  Default output is the bare length; --chunks appends one line of
 alignment JSON.  Exit codes: 0 success, 1 I/O or parse error, 2 usage
-error.
+error or a score table that cannot be allocated.
 """
 
 from __future__ import annotations
@@ -112,7 +112,7 @@ def cmd_exact(ns: argparse.Namespace) -> int:
         lines.append(str(length))
     else:
         tables = compute_tables(xs, ys, ns.k)
-        lines.append(str(int(tables.lengths[-1, -1])))
+        lines.append(str(tables.length))
         if ns.chunks:
             alignment = traceback(tables, xs, ys, ns.k)
             lines.append(json.dumps(alignment.to_json(), separators=(",", ":")))
@@ -232,6 +232,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(str(exc), file=sys.stderr)
         return 1
+    except MemoryError as exc:  # a score table too big for this machine
+        print(str(exc), file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -12,6 +12,8 @@ import numbers
 from dataclasses import dataclass, field
 from typing import Any, Iterable
 
+import numpy as np
+
 MODES = ("exact", "op")
 
 
@@ -35,6 +37,17 @@ def has_nan(values) -> bool:
     identity first, so answers on NaN would depend on object identity.
     """
     return any(has_nan(v) if isinstance(v, tuple) else v != v for v in values)
+
+
+def zeros_table(rows: int, cols: int, dtype) -> np.ndarray:
+    """A zeroed rows x cols score table; if it cannot be allocated, the
+    MemoryError names its size and the bytes it needs."""
+    try:
+        return np.zeros((rows, cols), dtype=dtype)
+    except MemoryError:
+        dtype = np.dtype(dtype)
+        raise MemoryError(f"cannot allocate the {rows} x {cols} score table: "
+                          f"{rows * cols * dtype.itemsize} bytes of {dtype}") from None
 
 
 def as_items(seq: Any) -> tuple:
@@ -113,23 +126,23 @@ class ChunkAlignment:
 def walk_chunks(lengths, k: int, chunk_lengths) -> ChunkAlignment:
     """Back-track one optimal chunk decomposition through a score table.
 
+    ``lengths`` is read as lengths[i, j] and needs a ``shape``.
     ``chunk_lengths(i, j, score)`` gives the mode's candidate lengths of a
     last chunk ending at (i, j), in its order of preference; the first ln
     with lengths[i-ln, j-ln] + ln == score is taken.  Otherwise the walk
-    steps left, then up.  Output chunks are 1-based and ordered by position.
+    steps left, then up.  The score of the cell it moves to is known, so
+    it reads only candidate, left and upper cells.  Output chunks are
+    1-based and ordered by position.
     """
     m, n = lengths.shape[0] - 1, lengths.shape[1] - 1
     chunks = []
     i, j = m, n
-    while i >= k and j >= k:
-        score = int(lengths[i, j])
-        if score == 0:
-            break
+    score = total = int(lengths[m, n])
+    while i >= k and j >= k and score:
         for ln in chunk_lengths(i, j, score):
             if int(lengths[i - ln, j - ln]) + ln == score:
                 chunks.append((i - ln + 1, j - ln + 1, ln))
-                i -= ln
-                j -= ln
+                i, j, score = i - ln, j - ln, score - ln
                 break
         else:
             if int(lengths[i, j - 1]) == score:
@@ -139,7 +152,7 @@ def walk_chunks(lengths, k: int, chunk_lengths) -> ChunkAlignment:
             else:  # unreachable if the table satisfies its recurrence
                 raise RuntimeError("inconsistent DP table at (%d, %d)" % (i, j))
     chunks.reverse()
-    return ChunkAlignment(total=int(lengths[m, n]), chunks=tuple(chunks))
+    return ChunkAlignment(total=total, chunks=tuple(chunks))
 
 
 def validate_alignment(x, y, params: Params, alignment: ChunkAlignment) -> bool:

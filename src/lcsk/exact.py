@@ -6,12 +6,14 @@ Quadratic DP over two quantities:
 * ``chunk_max[i, j]``  -- best total ending with a chunk that finishes at
   (i, j), or -1 when no chunk of length >= k can end there.
 
-Rows only depend on rows i-1 and i-k of lengths and row i-1 of chunk_max.
-One numpy row kernel fills them for every entry point: the length path
-keeps a (k+1)-row ring over the shorter sequence, O(k * min(m, n)) ints;
-compute_tables keeps every score row but only two chunk_max rows, since
-the traceback needs the scores alone (4 bytes per cell).  chunk_max_table
-keeps every chunk_max row, for display and tests.
+Rows only depend on rows i-1 and i-k of lengths and row i-1 of chunk_max,
+so one numpy row kernel runs on a ring of k+1 score rows for every entry
+point.  The length path keeps the ring alone, over the shorter sequence:
+O(k * min(m, n)) ints.  compute_tables stores each finished score row as
+its differences along the row, which lie in [0, k]: one byte per cell for
+k <= 255 (see DpTables).  traceback reads scores from the differences as
+it walks and never builds the int32 table.  chunk_max_table keeps every
+chunk_max row, for display and tests.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ChunkAlignment, as_items, check_k, has_nan, walk_chunks
+from .core import ChunkAlignment, as_items, check_k, has_nan, walk_chunks, zeros_table
 
 
 def _encode(xs: tuple, ys: tuple):
@@ -46,10 +48,35 @@ def _encode(xs: tuple, ys: tuple):
 
 @dataclass(frozen=True)
 class DpTables:
-    """Witness state for one (x, y, k) instance: the (m+1) x (n+1) int32
-    score table ``lengths``."""
+    """Witness state for one (x, y, k) instance.
 
-    lengths: np.ndarray
+    ``diffs`` is the (m+1) x (n+1) score table C stored as row differences,
+    diffs[i, j] = C[i, j] - C[i, j-1] and diffs[i, 0] = 0, in the smallest
+    dtype that holds k: uint8 up to k = 255 (one byte per cell), uint16 up
+    to 65535, int32 above.  A difference lies in [0, k].  It is not negative,
+    since a decomposition for y(1:j-1) is one for y(1:j).  It is at most k:
+    in an optimal decomposition for (i, j) whose last chunk ends at y_j,
+    drop the chunk's last pair if it is longer than k, or the whole chunk
+    if it is exactly k long; what is left is a decomposition for (i, j-1)
+    that loses at most k.
+
+    ``x_ids[t]`` and ``y_ids[t]`` are the ids of the length-k windows that
+    start at x_{t+1} and y_{t+1} (empty when min(m, n) < k): a chunk can
+    end at (i, j) iff x_ids[i-k] == y_ids[j-k].
+    """
+
+    diffs: np.ndarray
+    x_ids: np.ndarray
+    y_ids: np.ndarray
+
+    @property
+    def lengths(self) -> np.ndarray:
+        """The decoded (m+1) x (n+1) int32 score table, 4 bytes per cell."""
+        return np.cumsum(self.diffs, axis=1, dtype=np.int32)
+
+    @property
+    def length(self) -> int:
+        return int(self.diffs[-1].sum(dtype=np.int64))
 
 
 def match_run_table(x, y) -> np.ndarray:
@@ -64,40 +91,39 @@ def match_run_table(x, y) -> np.ndarray:
     return run
 
 
-def _full_rows(x, y, k: int, chunk_rows):
-    """Every score row plus a ring of chunk rows (None: every row), as the
-    row kernel leaves them; returns (lengths, offset chunk rows, row offset).
+def compute_tables(x, y, k: int) -> DpTables:
+    """The score table as row differences, O(mn) bytes; feed the result to
+    traceback().
 
-    The row offset is removed from lengths in place, so no (m+1) x (n+1)
-    temporary is made.
+    The ring kernel of the length path fills the rows over x, and each row
+    is stored as it finishes; its row offset cancels in the difference.
     """
     k = check_k(k)
     xa, ya = _encode(as_items(x), as_items(y))
     m, n = len(xa), len(ya)
-    offset = (m + 1 - np.arange(m + 1, dtype=np.int32))[:, None]
-    lengths = np.full((m + 1, n + 1), offset, dtype=np.int32)  # score 0 in every row
-    chunk = np.zeros((chunk_rows or m + 1, n + 1), dtype=np.int32)  # 0: no chunk ends here
-    if min(m, n) >= k:
-        rows = (_row_views(lengths, chunk, k, i) for i in range(k, m + 1))
-        _sweep_rows(*_window_ids(xa, ya, k), k, rows)
-    lengths -= offset
-    return lengths, chunk, offset
-
-
-def compute_tables(x, y, k: int) -> DpTables:
-    """The score table, O(mn) space; feed the result to traceback().
-
-    The row kernel needs chunk_max of row i-1 only, so two chunk rows do.
-    """
-    return DpTables(lengths=_full_rows(x, y, k, 2)[0])
+    dtype = np.uint8 if k <= 0xFF else np.uint16 if k <= 0xFFFF else np.int32
+    diffs = zeros_table(m + 1, n + 1, dtype)  # rows below k and column 0 score 0
+    if min(m, n) < k:
+        none = np.empty(0, dtype=np.int32)
+        return DpTables(diffs, none, none)
+    xg, yg = _window_ids(xa, ya, k)
+    for i, row in enumerate(_ring_rows(xg, yg, k), start=k):
+        np.subtract(row[1:], row[:-1], out=diffs[i, 1:], casting="unsafe")
+    return DpTables(diffs, xg, yg)
 
 
 def chunk_max_table(x, y, k: int) -> np.ndarray:
     """The (m+1) x (n+1) chunk_max table: the best total ending with a chunk
     that finishes at (i, j), or -1 where no chunk of length >= k can end."""
-    _, chunk_max, offset = _full_rows(x, y, k, None)
-    chunk_max -= offset
-    return np.maximum(chunk_max, -1, out=chunk_max)
+    k = check_k(k)
+    xa, ya = _encode(as_items(x), as_items(y))
+    m, n = len(xa), len(ya)
+    chunk = np.zeros((m + 1, n + 1), dtype=np.int32)  # 0: no chunk ends here
+    if min(m, n) >= k:
+        for _ in _ring_rows(*_window_ids(xa, ya, k), k, chunk):
+            pass
+    chunk -= (m + 1 - np.arange(m + 1, dtype=np.int32))[:, None]
+    return np.maximum(chunk, -1, out=chunk)
 
 
 def _window_ids(xa: np.ndarray, ya: np.ndarray, k: int):
@@ -129,8 +155,9 @@ def _row_views(h: np.ndarray, e: np.ndarray, k: int, i: int) -> tuple:
             chunk, chunk[k:], e[(i - 1) % len(e)][k - 1 : n])
 
 
-def _sweep_rows(xg: np.ndarray, yg: np.ndarray, k: int, rows) -> None:
-    """Row kernel of both exact paths; ``rows`` yields _row_views for rows k..m.
+def _sweep_rows(xg: np.ndarray, yg: np.ndarray, k: int, rows):
+    """Row kernel of every exact path; ``rows`` yields _row_views for rows
+    k..m, and row i is yielded as soon as it is finished.
 
     A chunk can end at (i, j) iff the length-k windows ending there are
     equal, so one comparison of window ids replaces the match-run row.
@@ -152,19 +179,29 @@ def _sweep_rows(xg: np.ndarray, yg: np.ndarray, k: int, rows) -> None:
         np.subtract(up, one, out=row)
         np.maximum(row, chunk, out=row)
         np.maximum.accumulate(row, out=row)
+        yield row
+
+
+def _ring_rows(xg: np.ndarray, yg: np.ndarray, k: int, chunk=None):
+    """_sweep_rows on a ring of k+1 offset score rows.  ``chunk`` holds one
+    offset chunk_max row per row; without it, a ring of two does, and the
+    views repeat every 2(k+1) rows, so they are built once."""
+    m, n = len(xg) + k - 1, len(yg) + k - 1
+    h = np.empty((k + 1, n + 1), dtype=np.int32)
+    h[:] = (m + 1 - np.arange(k + 1, dtype=np.int32))[:, None]  # rows 0..k score 0
+    if chunk is None:
+        chunk = np.zeros((2, n + 1), dtype=np.int32)
+        rows = itertools.cycle([_row_views(h, chunk, k, i) for i in range(k, k + 2 * (k + 1))])
+    else:
+        rows = (_row_views(h, chunk, k, i) for i in range(k, m + 1))
+    return _sweep_rows(xg, yg, k, rows)
 
 
 def _length_rows(xa: np.ndarray, ya: np.ndarray, k: int) -> int:
-    """Length path: _sweep_rows on rings of k+1 score rows and 2 chunk rows,
-    whose views repeat every 2(k+1) rows and are built once."""
-    m, n = len(xa), len(ya)
-    xg, yg = _window_ids(xa, ya, k)
-    h = np.empty((k + 1, n + 1), dtype=np.int32)  # ring of offset score rows
-    h[:] = (m + 1 - np.arange(k + 1, dtype=np.int32))[:, None]  # rows 0..k score 0
-    e = np.zeros((2, n + 1), dtype=np.int32)  # offset chunk_max, rows i-1 and i
-    views = [_row_views(h, e, k, i) for i in range(k, k + 2 * (k + 1))]
-    _sweep_rows(xg, yg, k, itertools.cycle(views))
-    return int(h[m % (k + 1), n]) - 1  # row m's offset is 1
+    """Length path: the ring kernel alone."""
+    for row in _ring_rows(*_window_ids(xa, ya, k), k):
+        pass
+    return int(row[-1]) - 1  # row m's offset is 1
 
 
 def _length_cells(xa, ya, k):
@@ -220,22 +257,96 @@ def lcs_kplus_length(x, y, k: int) -> int:
     return _length_rows(xa, ya, k) if len(ys) >= k else 0
 
 
+class _Scores:
+    """Scores C[i, j] read from DpTables.diffs, for a walk that moves up and
+    left only.
+
+    at(i, j, score) says where the walk stands: later reads lie in rows <= i.
+    Each row from i up to 2k-1 rows above it keeps its last read cell, and
+    a read there sums the differences between that cell and the new one, so
+    a step left costs one difference.  Any other read is a prefix sum.  No
+    row is decoded, and at most 2k cells are kept.
+    """
+
+    def __init__(self, diffs: np.ndarray, k: int):
+        self.diffs, self.shape, self.reach = diffs, diffs.shape, 2 * k - 1
+        self.i = diffs.shape[0] - 1
+        self.last: dict = {}  # row -> (column, score) of its last read
+
+    def at(self, i: int, j: int, score: int) -> None:
+        if i != self.i:
+            for r in range(max(i, self.i - self.reach - 1) + 1, self.i + 1):
+                self.last.pop(r, None)
+            self.i = i
+        self.last[i] = (j, score)
+
+    def __getitem__(self, cell) -> int:
+        i, j = cell
+        last = self.last.get(i)
+        if last is None:
+            score = int(np.add.reduce(self.diffs[i, : j + 1]))
+        else:
+            c, score = last
+            if j == c - 1:
+                score -= int(self.diffs[i, c])
+            elif j < c:
+                score -= int(np.add.reduce(self.diffs[i, j + 1 : c + 1]))
+            elif j > c:
+                score += int(np.add.reduce(self.diffs[i, c + 1 : j + 1]))
+        if self.i - self.reach <= i <= self.i:
+            self.last[i] = (j, score)
+        return score
+
+
+def _longest_chunk(c: _Scores, i: int, j: int, score: int, run: int, k: int) -> int:
+    """The largest l in [k, run] with c[i-l, j-l] + l == score, or 0 if none;
+    run >= k is the common-suffix run at (i, j) and score is c[i, j].
+
+    For l >= 2k, l qualifies at (i, j) iff k qualifies there and l - k
+    qualifies at (i-k, j-k).  The chunks of lengths k and l - k ending at
+    (i, j) and (i-k, j-k) are common substrings, so c[i, j] >= c[i-k, j-k]
+    + k and c[i-k, j-k] >= c[i-l, j-l] + l - k; their sum is an equality iff
+    both are.  So after trying the whole run, the search steps down the
+    diagonal by k while k qualifies and tries lengths below 2k at each step.
+    """
+    if c[i - run, j - run] + run == score:
+        return run
+    best = shift = 0
+    while True:
+        top = min(run, 2 * k - 1)
+        short = next((ln for ln in range(top, k - 1, -1) if c[i - ln, j - ln] + ln == score), 0)
+        if not short:
+            return best
+        best = shift + short
+        if run < 2 * k or (short > k and c[i - k, j - k] + k != score):
+            return best
+        i, j, run, score, shift = i - k, j - k, run - k, score - k, shift + k
+
+
 def traceback(tables: DpTables, x, y, k: int) -> ChunkAlignment:
-    """Recover one optimal chunk decomposition from the score table.
+    """Recover one optimal chunk decomposition from compute_tables(x, y, k).
 
     Deterministic tie policy: take the largest chunk length, at most the
     common-suffix run at (i, j), that reproduces the score; otherwise step
-    left before up.  Some length in [k, run] reproduces the score iff
-    chunk_max[i, j] attains it, so no chunk_max table is needed.  The run is
-    counted at every cell on the path, on the symbol codes the table was
-    built from: O((m + n) * min(m, n)) in the worst case.
+    left before up.  A cell whose length-k windows differ has no chunk and
+    costs O(1); elsewhere the run is counted on window ids.  Scores are
+    decoded from the row differences as the walk reaches them (see
+    _Scores), so the int32 table is never built.
     """
-    xa, ya = (a.tolist() for a in _encode(as_items(x), as_items(y)))
+    m, n = len(as_items(x)), len(as_items(y))
+    xg, yg = tables.x_ids.tolist(), tables.y_ids.tolist()
+    if tables.diffs.shape != (m + 1, n + 1) or len(xg) != (m - k + 1 if min(m, n) >= k else 0):
+        raise ValueError("tables were computed for other inputs or another k")
+    scores = _Scores(tables.diffs, k)
 
     def chunk_lengths(i, j, score):
-        run = 0
-        while run < i and run < j and xa[i - 1 - run] == ya[j - 1 - run]:
-            run += 1
-        return range(run, k - 1, -1)
+        scores.at(i, j, score)
+        t, u = i - k, j - k  # starts of the length-k windows ending at (i, j)
+        if xg[t] != yg[u]:
+            return ()
+        while t and u and xg[t - 1] == yg[u - 1]:
+            t, u = t - 1, u - 1
+        longest = _longest_chunk(scores, i, j, score, i - t, k)
+        return (longest,) if longest else ()
 
-    return walk_chunks(tables.lengths, k, chunk_lengths)
+    return walk_chunks(scores, k, chunk_lengths)

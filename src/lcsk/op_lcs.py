@@ -45,7 +45,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from .core import ChunkAlignment, as_items, check_k, has_nan, walk_chunks
+from .core import ChunkAlignment, as_items, check_k, has_nan, walk_chunks, zeros_table
 
 # A group of row blocks shares one window-id comparison and one slide of
 # the row buffer.  A block's masks take k entries per row and column;
@@ -200,7 +200,7 @@ def op_lcs_kplus_state(x, y, k: int) -> OpDpState:
     k = check_k(k, "op")
     xs, ys = as_items(x), as_items(y)
     x_ids, y_ids = _window_ids(xs, ys, k)
-    lengths = np.zeros((len(xs) + 1, len(ys) + 1), dtype=np.int32)
+    lengths = zeros_table(len(xs) + 1, len(ys) + 1, np.int32)
     if min(len(xs), len(ys)) >= k:
         _sweep(x_ids, y_ids, k, lengths)
     return OpDpState(x=xs, y=ys, k=k, lengths=lengths, x_ids=x_ids, y_ids=y_ids)

@@ -4,6 +4,7 @@ import json
 import random
 import re
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -255,6 +256,28 @@ class TestOp:
         x, y = files("x", "1 2 3"), files("y", "4 5 6")
         code, out, _ = run(capsys, ["op", x, y, "--k", "2", "--dump-tables"])
         assert code == 0 and "C:" in out
+
+
+@pytest.mark.parametrize("mode, text_x, text_y, table, length", [
+    ("exact", "31415", "2714181", "48 bytes of uint8", "3"),
+    ("op", "3 1 4 1 5", "2 7 1 4 1 8 1", "192 bytes of int32", "5"),
+])
+def test_table_too_big_exits_2(mode, text_x, text_y, table, length, files, capsys, monkeypatch):
+    # an allocator that refuses the 6 x 8 score table and nothing else
+    real = np.zeros
+
+    def zeros(shape, *args, **kwargs):
+        if shape == (6, 8):
+            raise MemoryError
+        return real(shape, *args, **kwargs)
+
+    monkeypatch.setattr(np, "zeros", zeros)
+    x, y = files("x", text_x), files("y", text_y)
+    code, out, err = run(capsys, [mode, x, y, "--k", "2", "--chunks"])
+    assert (code, out) == (2, "")
+    assert err == f"cannot allocate the 6 x 8 score table: {table}\n"
+    code, out, _ = run(capsys, [mode, x, y, "--k", "2"])  # the length path keeps no table
+    assert (code, out) == (0, length + "\n")
 
 
 class TestBench:

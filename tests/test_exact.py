@@ -1,3 +1,4 @@
+import dataclasses
 import random
 import tracemalloc
 
@@ -12,12 +13,15 @@ from lcsk.exact import (
     _length_cells,
     _length_rows,
     _encode,
+    _ring_rows,
+    _window_ids,
     chunk_max_table,
     compute_tables,
     lcs_kplus_length,
     match_run_table,
     traceback,
 )
+from lcsk.op_lcs import op_lcs_kplus_state
 from lcsk.oracles import naive_lcs_kplus, textbook_lcs
 
 symbols = st.integers(0, 3)
@@ -33,6 +37,22 @@ def planted_pairs(draw):
     i = draw(st.integers(0, len(x)))
     j = draw(st.integers(0, len(y)))
     return tuple(x[:i] + seg + x[i:]), tuple(y[:j] + seg + y[j:])
+
+
+def _run_walk(xs, ys, k):
+    """Candidate lengths of the reference walk: the common-suffix run down to k."""
+    runs = match_run_table(xs, ys)
+    return lambda i, j, score: range(int(runs[i, j]), k - 1, -1)
+
+
+def _int32_grid(xs, ys, k):
+    """The int32 score grid straight from the ring kernel's offset rows."""
+    xa, ya = _encode(tuple(xs), tuple(ys))
+    m, n = len(xa), len(ya)
+    grid = np.zeros((m + 1, n + 1), dtype=np.int32)
+    for i, row in enumerate(_ring_rows(*_window_ids(xa, ya, k), k), start=k):
+        grid[i] = row - (m + 1 - i)
+    return grid
 
 
 class TestGoldens:
@@ -224,10 +244,16 @@ class TestTraceback:
     def test_dead_end_raises(self):
         # a score that neither a chunk, the left cell nor the upper cell explains
         t = compute_tables("abc", "xyz", 1)
-        lengths = t.lengths.copy()
-        lengths[3, 3] = 2
+        diffs = t.diffs.copy()
+        diffs[3, 3] = 2  # C[3, 3] = 2 with C[3, 2] = C[2, 3] = 0
         with pytest.raises(RuntimeError, match=r"inconsistent DP table at \(3, 3\)"):
-            traceback(DpTables(lengths=lengths), "abc", "xyz", 1)
+            traceback(dataclasses.replace(t, diffs=diffs), "abc", "xyz", 1)
+
+    def test_tables_of_other_inputs_rejected(self):
+        t = compute_tables("abcab", "abcb", 2)
+        for x, y, k in (("abcab", "abc", 2), ("abca", "abcb", 2), ("abcab", "abcb", 3)):
+            with pytest.raises(ValueError, match="other inputs or another k"):
+                traceback(t, x, y, k)
 
     @given(seqs, seqs, st.integers(1, 5))
     def test_deterministic(self, xs, ys, k):
@@ -251,8 +277,10 @@ class TestTraceback:
 
         assert traceback(tables, xs, ys, k) == walk_chunks(tables.lengths, k, gated)
 
-    def test_witness_peak_is_one_int32_grid(self):
-        # lengths is 4 B/cell; a full chunk_max grid would add 4 more
+    @staticmethod
+    def _witness_peak():
+        """compute_tables + traceback on a 600 x 600 DNA pair: the witness and
+        the tracemalloc peak in bytes per cell."""
         rng = random.Random(6)
         x = "".join(rng.choice("ACGT") for _ in range(600))
         y = x[:200] + "".join(rng.choice("ACGT") for _ in range(400))
@@ -263,5 +291,66 @@ class TestTraceback:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+        return a, peak / (601 * 601)
+
+    def test_witness_peak_is_one_int32_grid(self):
+        # an int32 score grid is 4 B/cell; a full chunk_max grid would add 4 more
+        a, peak = self._witness_peak()
         assert a.total >= 200
-        assert peak < 5 * 601 * 601
+        assert peak < 5
+
+    def test_witness_peak_is_one_byte_per_cell(self):
+        # uint8 row differences; the walk decodes at most 2k rows at a time
+        a, peak = self._witness_peak()
+        assert a.total >= 200
+        assert peak < 1.5
+
+    def test_walk_never_decodes_the_table(self, monkeypatch):
+        xs, ys = "acdbacbcacdb", "aacdabcaacd"
+        tables = compute_tables(xs, ys, 2)
+        want = walk_chunks(tables.lengths, 2, _run_walk(xs, ys, 2))
+        monkeypatch.setattr(DpTables, "lengths", property(lambda t: pytest.fail("decoded")))
+        assert traceback(tables, xs, ys, 2) == want
+
+    @given(st.one_of(st.tuples(seqs, seqs), planted_pairs()), st.integers(1, 6))
+    @settings(max_examples=300)
+    def test_same_walk_as_int32_grid(self, pair, k):
+        # reference: the walk over the decoded int32 grid that tries every
+        # length from the common-suffix run down to k
+        xs, ys = pair
+        tables = compute_tables(xs, ys, k)
+        assert tables.diffs.dtype == np.uint8
+        want = walk_chunks(tables.lengths, k, _run_walk(xs, ys, k))
+        assert traceback(tables, xs, ys, k) == want
+
+    @pytest.mark.parametrize("k, dtype", [(255, np.uint8), (256, np.uint16), (300, np.uint16)])
+    def test_difference_dtype_holds_k(self, k, dtype):
+        # a planted 600-symbol segment makes row differences reach k itself
+        rng = random.Random(k)
+        seg = "".join(rng.choice("ACGT") for _ in range(600))
+        x = "".join(rng.choice("ACGT") for _ in range(150)) + seg
+        y = seg + "".join(rng.choice("ACGT") for _ in range(90))
+        tables = compute_tables(x, y, k)
+        assert tables.diffs.dtype == dtype
+        assert int(tables.diffs.max()) == k
+        grid = _int32_grid(x, y, k)
+        assert (tables.lengths == grid).all()
+        want = walk_chunks(grid, k, _run_walk(x, y, k))
+        assert want.total >= 600
+        assert traceback(tables, x, y, k) == want
+
+    def test_table_too_big_is_named(self, monkeypatch):
+        real = np.zeros
+
+        def zeros(shape, *args, **kwargs):
+            if shape == (6, 8):
+                raise MemoryError
+            return real(shape, *args, **kwargs)
+
+        monkeypatch.setattr(np, "zeros", zeros)
+        x, y = (3, 1, 4, 1, 5), (2, 7, 1, 4, 1, 8, 1)
+        with pytest.raises(MemoryError, match=r"^cannot allocate the 6 x 8 score table: 48 bytes of uint8$"):
+            compute_tables(x, y, 2)
+        with pytest.raises(MemoryError, match=r"6 x 8 score table: 192 bytes of int32"):
+            op_lcs_kplus_state(x, y, 2)
+        assert lcs_kplus_length(x, y, 2) == 3  # the length path keeps no table
