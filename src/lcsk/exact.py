@@ -7,18 +7,19 @@ Quadratic DP over two quantities:
   (i, j), or -1 when no chunk of length >= k can end there.
 
 Rows only depend on rows i-1 and i-k of lengths and row i-1 of chunk_max,
-so one numpy row kernel runs on a ring of k+1 score rows for every entry
-point.  The length path keeps the ring alone, over the shorter sequence:
-O(k * min(m, n)) ints.  compute_tables stores each finished score row as
-its differences along the row, which lie in [0, k]: one byte per cell for
-k <= 255 (see DpTables).  traceback reads scores from the differences as
-it walks and never builds the int32 table.  chunk_max_table keeps every
-chunk_max row, for display and tests.
+so one numpy row loop, _sweep, runs on a ring of k+1 score rows and two
+chunk_max rows for both entry points.  The length path keeps the rings
+alone, over the shorter sequence: O(k * min(m, n)) ints.  compute_tables
+has _sweep store each finished score row as its differences along the
+row, which lie in [0, k]: one byte per cell for k <= 255 (see DpTables).
+traceback reads scores from the differences as it walks and never builds
+the int32 table.  chunk_max_table builds the full chunk_max grid from its
+definition, out of the score table and match_run_table, for display and
+tests.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,6 +61,13 @@ class DpTables:
     if it is exactly k long; what is left is a decomposition for (i, j-1)
     that loses at most k.
 
+    While compute_tables fills it, _sweep also holds k+1 int32 score rows,
+    4(k+1)(n+1) bytes: beside a uint8 table of m+1 rows that is about
+    4(k+1)/(m+1) B/cell more, so the ring, not the table, sets the peak
+    once k is a sizeable part of m: the tracemalloc peak of compute_tables
+    and traceback on a 2000 x 2000 DNA pair is 1.03 B/cell at k=3 and 4.2
+    at k=1000.
+
     ``x_ids[t]`` and ``y_ids[t]`` are the ids of the length-k windows that
     start at x_{t+1} and y_{t+1} (empty when min(m, n) < k): a chunk can
     end at (i, j) iff x_ids[i-k] == y_ids[j-k].
@@ -95,8 +103,8 @@ def compute_tables(x, y, k: int) -> DpTables:
     """The score table as row differences, O(mn) bytes; feed the result to
     traceback().
 
-    The ring kernel of the length path fills the rows over x, and each row
-    is stored as it finishes; its row offset cancels in the difference.
+    _sweep, the row loop of the length path, fills the rows over x and
+    stores each row's differences as it finishes.
     """
     k = check_k(k)
     xa, ya = _encode(as_items(x), as_items(y))
@@ -107,23 +115,21 @@ def compute_tables(x, y, k: int) -> DpTables:
         none = np.empty(0, dtype=np.int32)
         return DpTables(diffs, none, none)
     xg, yg = _window_ids(xa, ya, k)
-    for i, row in enumerate(_ring_rows(xg, yg, k), start=k):
-        np.subtract(row[1:], row[:-1], out=diffs[i, 1:], casting="unsafe")
+    _sweep(xg, yg, k, diffs)
     return DpTables(diffs, xg, yg)
 
 
 def chunk_max_table(x, y, k: int) -> np.ndarray:
-    """The (m+1) x (n+1) chunk_max table: the best total ending with a chunk
-    that finishes at (i, j), or -1 where no chunk of length >= k can end."""
-    k = check_k(k)
-    xa, ya = _encode(as_items(x), as_items(y))
-    m, n = len(xa), len(ya)
-    chunk = np.zeros((m + 1, n + 1), dtype=np.int32)  # 0: no chunk ends here
-    if min(m, n) >= k:
-        for _ in _ring_rows(*_window_ids(xa, ya, k), k, chunk):
-            pass
-    chunk -= (m + 1 - np.arange(m + 1, dtype=np.int32))[:, None]
-    return np.maximum(chunk, -1, out=chunk)
+    """The (m+1) x (n+1) chunk_max table, from its definition: the max over
+    l in [k, run[i, j]] of C[i-l, j-l] + l, the best total ending with a
+    chunk that finishes at (i, j), or -1 where no chunk of length >= k can
+    end.  For display and tests: O(mn) per chunk length."""
+    c, run = compute_tables(x, y, k).lengths, match_run_table(x, y)
+    chunk = np.full(c.shape, -1, dtype=np.int32)
+    for ln in range(k, int(run.max()) + 1):
+        cand = np.where(run[ln:, ln:] >= ln, c[:-ln, :-ln] + ln, -1)
+        np.maximum(chunk[ln:, ln:], cand, out=chunk[ln:, ln:])
+    return chunk
 
 
 def _window_ids(xa: np.ndarray, ya: np.ndarray, k: int):
@@ -147,114 +153,59 @@ def _window_ids(xa: np.ndarray, ya: np.ndarray, k: int):
     return gx.astype(dtype), gy.astype(dtype)
 
 
-def _row_views(h: np.ndarray, e: np.ndarray, k: int, i: int) -> tuple:
-    """The six views row i's update uses; row r lives at h[r % len(h)], e[r % len(e)]."""
-    n = h.shape[1] - 1
-    chunk = e[i % len(e)]
-    return (h[i % len(h)], h[(i - 1) % len(h)], h[(i - k) % len(h)][: n + 1 - k],
-            chunk, chunk[k:], e[(i - 1) % len(e)][k - 1 : n])
+def _sweep(xg: np.ndarray, yg: np.ndarray, k: int, diffs=None) -> int:
+    """Fill rows k..m of the score table C over the window ids; return C[m, n].
 
-
-def _sweep_rows(xg: np.ndarray, yg: np.ndarray, k: int, rows):
-    """Row kernel of every exact path; ``rows`` yields _row_views for rows
-    k..m, and row i is yielded as soon as it is finished.
-
-    A chunk can end at (i, j) iff the length-k windows ending there are
-    equal, so one comparison of window ids replaces the match-run row.
-    Row i is stored with offset m + 1 - i: h = lengths + m + 1 - i and
-    e = chunk_max + m + 1 - i, e = 0 where no chunk ends (and at the start).
-    Along a diagonal the offset drops by one per row, which absorbs the +k
-    of lengths[i-k, j-k] + k and the +1 of chunk_max[i-1, j-1] + 1; stored
-    values stay positive, so multiplying by the hit mask clears e, and a
-    run of exactly k has e[i-1, j-1] = 0, so its +1 term cannot win.  Six
-    numpy calls per row on preallocated buffers: the per-row overhead
-    matters, as only the running max is O(n) work of any weight.
+    Row i is kept with offset m + 1 - i, in a ring of k+1 score rows
+    h = C + m + 1 - i, beside a ring of two chunk rows e = chunk_max +
+    m + 1 - i, or 0 where no chunk ends (and at the start).  A chunk
+    can end at (i, j) iff the length-k windows ending there are equal, so
+    one comparison of window ids replaces the match-run row.  Along a
+    diagonal the offset drops by one per row, which absorbs the +k of
+    C[i-k, j-k] + k and the +1 of chunk_max[i-1, j-1] + 1; stored values
+    stay positive, so multiplying by the hit mask clears e, and a run of
+    exactly k has e[i-1, j-1] = 0, so its +1 term cannot win.  The row
+    views repeat every 2(k+1) rows and are built once.  Six numpy calls
+    per row on them: the per-row overhead matters, as only the running max
+    is O(n) work of any weight.  When ``diffs`` is given, each finished
+    row's differences go to diffs[i, 1:]; the offset cancels in them.
     """
-    one = np.ones(len(yg) + k, dtype=np.int32)
+    m, n = len(xg) + k - 1, len(yg) + k - 1
+    h = np.empty((k + 1, n + 1), dtype=np.int32)
+    h[:] = (m + 1 - np.arange(k + 1, dtype=np.int32))[:, None]  # rows 0..k score 0
+    e = np.zeros((2, n + 1), dtype=np.int32)
+    views = []
+    for i in range(k, min(m + 1, k + 2 * (k + 1))):
+        chunk = e[i % 2]
+        views.append((h[i % (k + 1)], h[(i - 1) % (k + 1)], h[(i - k) % (k + 1)][: n + 1 - k],
+                      chunk, chunk[k:], e[(i - 1) % 2][k - 1 : n]))
+    one = np.ones(n + 1, dtype=np.int32)
     hit = np.empty(len(yg), dtype=bool)
-    for gram, (row, up, cand, chunk, tail, diag) in zip(xg, rows):
+    for t, gram in enumerate(xg):
+        row, up, cand, chunk, tail, diag = views[t % len(views)]
         np.equal(yg, gram, out=hit)
         np.maximum(cand, diag, out=tail)
         np.multiply(tail, hit, out=tail)
         np.subtract(up, one, out=row)
         np.maximum(row, chunk, out=row)
         np.maximum.accumulate(row, out=row)
-        yield row
-
-
-def _ring_rows(xg: np.ndarray, yg: np.ndarray, k: int, chunk=None):
-    """_sweep_rows on a ring of k+1 offset score rows.  ``chunk`` holds one
-    offset chunk_max row per row; without it, a ring of two does, and the
-    views repeat every 2(k+1) rows, so they are built once."""
-    m, n = len(xg) + k - 1, len(yg) + k - 1
-    h = np.empty((k + 1, n + 1), dtype=np.int32)
-    h[:] = (m + 1 - np.arange(k + 1, dtype=np.int32))[:, None]  # rows 0..k score 0
-    if chunk is None:
-        chunk = np.zeros((2, n + 1), dtype=np.int32)
-        rows = itertools.cycle([_row_views(h, chunk, k, i) for i in range(k, k + 2 * (k + 1))])
-    else:
-        rows = (_row_views(h, chunk, k, i) for i in range(k, m + 1))
-    return _sweep_rows(xg, yg, k, rows)
-
-
-def _length_rows(xa: np.ndarray, ya: np.ndarray, k: int) -> int:
-    """Length path: the ring kernel alone."""
-    for row in _ring_rows(*_window_ids(xa, ya, k), k):
-        pass
+        if diffs is not None:
+            np.subtract(row[1:], row[:-1], out=diffs[k + t, 1:], casting="unsafe")
     return int(row[-1]) - 1  # row m's offset is 1
-
-
-def _length_cells(xa, ya, k):
-    """Pure-Python per-cell reference of _length_rows; the tests compare the two."""
-    m, n = xa.shape[0], ya.shape[0]
-    if n < k or m < k:
-        return 0
-    win = np.zeros((k + 1, n + 1), np.int32)
-    run_prev = np.zeros(n + 1, np.int32)
-    run_cur = np.zeros(n + 1, np.int32)
-    chunk_prev = np.full(n + 1, -1, np.int32)
-    chunk_cur = np.full(n + 1, -1, np.int32)
-    for i in range(1, m + 1):
-        xi = xa[i - 1]
-        crow = win[i % (k + 1)]
-        cprev = win[(i - 1) % (k + 1)]
-        ckm = win[(i - k) % (k + 1)]
-        allow = i >= k
-        best = 0
-        for j in range(1, n + 1):
-            r = run_prev[j - 1] + 1 if ya[j - 1] == xi else 0
-            run_cur[j] = r
-            c = -1
-            if allow and r >= k:
-                c = ckm[j - k] + k
-                if r > k:
-                    alt = chunk_prev[j - 1] + 1
-                    if alt > c:
-                        c = alt
-            chunk_cur[j] = c
-            v = cprev[j]
-            if c > v:
-                v = c
-            if v > best:
-                best = v
-            crow[j] = best  # running max realizes the left-neighbor term
-        run_prev, run_cur = run_cur, run_prev
-        chunk_prev, chunk_cur = chunk_cur, chunk_prev
-    return int(win[m % (k + 1), n])
 
 
 def lcs_kplus_length(x, y, k: int) -> int:
     """LCS_{k+} length in O(k * min(m, n)) memory.
 
-    compute_tables' row kernel on a ring of rows; rows run over the longer
-    sequence so that they span the shorter one.
+    _sweep without a table; rows run over the longer sequence so that they
+    span the shorter one.
     """
     k = check_k(k)
     xs, ys = as_items(x), as_items(y)
     if len(xs) < len(ys):
         xs, ys = ys, xs  # the problem is symmetric; keep rows short
     xa, ya = _encode(xs, ys)
-    return _length_rows(xa, ya, k) if len(ys) >= k else 0
+    return _sweep(*_window_ids(xa, ya, k), k) if len(ys) >= k else 0
 
 
 class _Scores:

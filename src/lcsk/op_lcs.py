@@ -69,8 +69,6 @@ class OpDpState:
     get -1 in x_ids and -2 in y_ids, so they match nothing.
     """
 
-    x: tuple
-    y: tuple
     k: int
     lengths: np.ndarray  # (m+1) x (n+1) int32 scores
     x_ids: np.ndarray  # k x (m+1) int32
@@ -203,7 +201,7 @@ def op_lcs_kplus_state(x, y, k: int) -> OpDpState:
     lengths = zeros_table(len(xs) + 1, len(ys) + 1, np.int32)
     if min(len(xs), len(ys)) >= k:
         _sweep(x_ids, y_ids, k, lengths)
-    return OpDpState(x=xs, y=ys, k=k, lengths=lengths, x_ids=x_ids, y_ids=y_ids)
+    return OpDpState(k=k, lengths=lengths, x_ids=x_ids, y_ids=y_ids)
 
 
 def op_traceback(state: OpDpState) -> ChunkAlignment:

@@ -10,10 +10,8 @@ from hypothesis import strategies as st
 from lcsk.core import Params, validate_alignment, walk_chunks
 from lcsk.exact import (
     DpTables,
-    _length_cells,
-    _length_rows,
     _encode,
-    _ring_rows,
+    _sweep,
     _window_ids,
     chunk_max_table,
     compute_tables,
@@ -46,13 +44,11 @@ def _run_walk(xs, ys, k):
 
 
 def _int32_grid(xs, ys, k):
-    """The int32 score grid straight from the ring kernel's offset rows."""
+    """The int32 score grid from _sweep's row differences, kept in int32."""
     xa, ya = _encode(tuple(xs), tuple(ys))
-    m, n = len(xa), len(ya)
-    grid = np.zeros((m + 1, n + 1), dtype=np.int32)
-    for i, row in enumerate(_ring_rows(*_window_ids(xa, ya, k), k), start=k):
-        grid[i] = row - (m + 1 - i)
-    return grid
+    diffs = np.zeros((len(xa) + 1, len(ya) + 1), dtype=np.int32)
+    _sweep(*_window_ids(xa, ya, k), k, diffs)
+    return np.cumsum(diffs, axis=1, dtype=np.int32)
 
 
 class TestGoldens:
@@ -155,10 +151,10 @@ class TestAgainstOracle:
 
     @given(seqs, seqs, st.integers(1, 6))
     def test_vector_and_cell_routes_agree(self, xs, ys, k):
-        # _length_cells is the per-cell reference for the numpy row kernel
+        # the cubic oracle is the per-cell reference for the numpy row loop
         assume(min(len(xs), len(ys)) >= k)
         xa, ya = _encode(tuple(xs), tuple(ys))
-        assert _length_cells(xa, ya, k) == _length_rows(xa, ya, k)
+        assert _sweep(*_window_ids(xa, ya, k), k) == naive_lcs_kplus(xs, ys, k)
 
     def test_routes_agree_when_window_ids_are_reranked(self):
         # 64 symbols and k >= 11 push the window ids past int64, so the row
@@ -172,8 +168,8 @@ class TestAgainstOracle:
                 seg = x[start : start + rng.randint(k, 2 * k)]
                 y[: len(seg)] = seg
                 xa, ya = _encode(tuple(x), tuple(y))
-                expected = _length_cells(xa, ya, k)
-                assert _length_rows(xa, ya, k) == expected
+                expected = naive_lcs_kplus(x, y, k)
+                assert _sweep(*_window_ids(xa, ya, k), k) == expected
                 assert compute_tables(x, y, k).lengths[-1, -1] == expected
 
 
@@ -277,31 +273,17 @@ class TestTraceback:
 
         assert traceback(tables, xs, ys, k) == walk_chunks(tables.lengths, k, gated)
 
-    @staticmethod
-    def _witness_peak():
-        """compute_tables + traceback on a 600 x 600 DNA pair: the witness and
-        the tracemalloc peak in bytes per cell."""
+    def test_witness_peak_is_one_byte_per_cell(self):
+        # uint8 row differences; the walk decodes at most 2k rows at a time
         rng = random.Random(6)
         x = "".join(rng.choice("ACGT") for _ in range(600))
         y = x[:200] + "".join(rng.choice("ACGT") for _ in range(400))
         tracemalloc.start()
         try:
-            tables = compute_tables(x, y, 3)
-            a = traceback(tables, x, y, 3)
-            peak = tracemalloc.get_traced_memory()[1]
+            a = traceback(compute_tables(x, y, 3), x, y, 3)
+            peak = tracemalloc.get_traced_memory()[1] / (601 * 601)
         finally:
             tracemalloc.stop()
-        return a, peak / (601 * 601)
-
-    def test_witness_peak_is_one_int32_grid(self):
-        # an int32 score grid is 4 B/cell; a full chunk_max grid would add 4 more
-        a, peak = self._witness_peak()
-        assert a.total >= 200
-        assert peak < 5
-
-    def test_witness_peak_is_one_byte_per_cell(self):
-        # uint8 row differences; the walk decodes at most 2k rows at a time
-        a, peak = self._witness_peak()
         assert a.total >= 200
         assert peak < 1.5
 
