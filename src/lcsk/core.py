@@ -39,6 +39,11 @@ def has_nan(values) -> bool:
     return any(has_nan(v) if isinstance(v, tuple) else v != v for v in values)
 
 
+def table_dtype(bound: int):
+    """The smallest of uint8, uint16 and int32 that holds 0..bound."""
+    return np.uint8 if bound <= 0xFF else np.uint16 if bound <= 0xFFFF else np.int32
+
+
 def zeros_table(rows: int, cols: int, dtype) -> np.ndarray:
     """A zeroed rows x cols score table; if it cannot be allocated, the
     MemoryError names its size and the bytes it needs."""

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ChunkAlignment, as_items, check_k, has_nan, walk_chunks, zeros_table
+from .core import ChunkAlignment, as_items, check_k, has_nan, table_dtype, walk_chunks, zeros_table
 
 
 def _encode(xs: tuple, ys: tuple):
@@ -109,8 +109,7 @@ def compute_tables(x, y, k: int) -> DpTables:
     k = check_k(k)
     xa, ya = _encode(as_items(x), as_items(y))
     m, n = len(xa), len(ya)
-    dtype = np.uint8 if k <= 0xFF else np.uint16 if k <= 0xFFFF else np.int32
-    diffs = zeros_table(m + 1, n + 1, dtype)  # rows below k and column 0 score 0
+    diffs = zeros_table(m + 1, n + 1, table_dtype(k))  # rows below k and column 0 score 0
     if min(m, n) < k:
         none = np.empty(0, dtype=np.int32)
         return DpTables(diffs, none, none)

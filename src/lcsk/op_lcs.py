@@ -31,6 +31,17 @@ finished rows: C[i-w, j-w] + w where the ids of length w match, for all
 w at once.  The block then takes the max over w, the max with the row
 above and the running max along j.
 
+The witness state keeps C modulo 2^8 (k <= 8), 2^16 (k <= 128) or
+exactly in int32 (larger k): the smallest dtype that holds 2k(2k-1).
+Every row and column difference of C lies in [0, k].  A decomposition
+for a shorter prefix is one for the longer, and in an optimal one whose
+last chunk ends at the last position, dropping that chunk's last pair, or
+the whole chunk if it is exactly k long, loses at most k.  The back-track
+reads a cell w <= 2k-1 steps up the diagonal from the cell whose score s
+it knows, w rows and w columns away, or one step left or up, so the score
+read lies in [s - 2k(2k-1), s] and its residue fixes it:
+s - ((s - stored) mod 2^bits).
+
 Cost: O(k * mn) element operations in O(m) numpy calls, plus O((m+n) * k)
 element operations and 2k-2 sorts of m+n ids for the window ids.  The
 paper's k-independent O(mn) bound, from an op-LCE table and window maxima,
@@ -45,7 +56,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from .core import ChunkAlignment, as_items, check_k, has_nan, walk_chunks, zeros_table
+from .core import ChunkAlignment, as_items, check_k, has_nan, table_dtype, walk_chunks, zeros_table
 
 # A group of row blocks shares one window-id comparison and one slide of
 # the row buffer.  A block's masks take k entries per row and column;
@@ -62,7 +73,15 @@ _BUFSIZE = 2048
 
 @dataclass(frozen=True)
 class OpDpState:
-    """Retained sweep state: score table and window ids.
+    """Retained sweep state: the total, the score table modulo 2^bits and
+    window ids.
+
+    scores[i, j] is C[i, j] modulo 2^bits in table_dtype(2k(2k-1)): uint8
+    for k <= 8 (one byte per cell), uint16 for k <= 128, int32 (exact)
+    above.  A walk cell lies within 2k-1 diagonal steps, or one step left
+    or up, of a cell whose score it knows, so its score is at most
+    2k(2k-1) below that one, and the residue fixes it (see the module
+    docstring).  length is the exact C[m, n].
 
     x_ids[w-k, i] is the order-type id of the length-w window of x ending
     at x_i, for w in [k, 2k-1]; y_ids likewise.  Windows that do not fit
@@ -70,13 +89,21 @@ class OpDpState:
     """
 
     k: int
-    lengths: np.ndarray  # (m+1) x (n+1) int32 scores
+    length: int
+    scores: np.ndarray  # (m+1) x (n+1), C modulo 2^bits
     x_ids: np.ndarray  # k x (m+1) int32
     y_ids: np.ndarray  # k x (n+1) int32
 
     @property
-    def length(self) -> int:
-        return int(self.lengths[-1, -1])
+    def lengths(self) -> np.ndarray:
+        """The decoded (m+1) x (n+1) int32 score table, for display and tests.
+
+        Column 0 scores 0 and a row difference lies in [0, k], so the
+        wrapping differences of the residues are the true ones.
+        """
+        lengths = np.zeros(self.scores.shape, dtype=np.int32)
+        np.cumsum(np.diff(self.scores, axis=1), axis=1, dtype=np.int32, out=lengths[:, 1:])
+        return lengths
 
 
 def _ranks(values: tuple) -> np.ndarray:
@@ -131,12 +158,13 @@ def _sweep(x_ids: np.ndarray, y_ids: np.ndarray, k: int, table=None) -> int:
 
     Rows live in a buffer of 2k finished rows above a group of blocks;
     after each group the last 2k rows slide to the top, and the group's
-    rows are copied into ``table`` first when it is given.  For row r of
-    block g, at buffer row t + r with t = 2k + g*height, diag[g, w-k, r, j-k]
-    is buffer[t+r-w, j-w], that is C[i-w, j-w] for the columns j >= k a
-    chunk can end in.  Columns j < w read the tail of the row above, but
-    y_ids has -2 there, so they never match.  Each group compares window
-    ids once, into one 0/1 int32 mask per block.
+    rows are copied into ``table`` first when it is given, modulo 2^bits
+    of its dtype.  For row r of block g, at buffer row t + r with
+    t = 2k + g*height, diag[g, w-k, r, j-k] is buffer[t+r-w, j-w], that is
+    C[i-w, j-w] for the columns j >= k a chunk can end in.  Columns j < w
+    read the tail of the row above, but y_ids has -2 there, so they never
+    match.  Each group compares window ids once, into one 0/1 int32 mask
+    per block.
     """
     m, n = x_ids.shape[1] - 1, y_ids.shape[1] - 1
     cols = n + 1 - k
@@ -172,7 +200,7 @@ def _sweep(x_ids: np.ndarray, y_ids: np.ndarray, k: int, table=None) -> int:
             i, end = k + b * height, top + count * height
             done = buf[top : min(end, top + m + 1 - i)]
             if table is not None:
-                table[i : i + len(done)] = done
+                np.copyto(table[i : i + len(done)], done, casting="unsafe")
             flat[: top * (n + 1)] = flat[(end - top) * (n + 1) : end * (n + 1)]  # memmove
     finally:
         np.setbufsize(bufsize)
@@ -198,10 +226,29 @@ def op_lcs_kplus_state(x, y, k: int) -> OpDpState:
     k = check_k(k, "op")
     xs, ys = as_items(x), as_items(y)
     x_ids, y_ids = _window_ids(xs, ys, k)
-    lengths = zeros_table(len(xs) + 1, len(ys) + 1, np.int32)
-    if min(len(xs), len(ys)) >= k:
-        _sweep(x_ids, y_ids, k, lengths)
-    return OpDpState(k=k, lengths=lengths, x_ids=x_ids, y_ids=y_ids)
+    scores = zeros_table(len(xs) + 1, len(ys) + 1, table_dtype(2 * k * (2 * k - 1)))
+    length = _sweep(x_ids, y_ids, k, scores) if min(len(xs), len(ys)) >= k else 0
+    return OpDpState(k=k, length=length, scores=scores, x_ids=x_ids, y_ids=y_ids)
+
+
+class _Scores:
+    """Scores C[i, j] read from OpDpState.scores, for walk_chunks.
+
+    at(i, j, score) gives the score of the cell the walk stands on; every
+    later read lies within 2k(2k-1) below it (see OpDpState), so the
+    residue modulo 2^bits fixes it.  The walk starts at the total.
+    """
+
+    def __init__(self, state: OpDpState):
+        self.scores, self.shape, self.score = state.scores, state.scores.shape, state.length
+        self.mask = (1 << 8 * state.scores.itemsize) - 1
+
+    def at(self, i: int, j: int, score: int) -> None:
+        self.score = score
+
+    def __getitem__(self, cell) -> int:
+        s = self.score
+        return s - ((s - self.scores.item(cell)) & self.mask)
 
 
 def op_traceback(state: OpDpState) -> ChunkAlignment:
@@ -211,15 +258,18 @@ def op_traceback(state: OpDpState) -> ChunkAlignment:
     [k, ell] reproduces the cell's score, using the shortest such length;
     otherwise step left, then up.  Only lengths up to 2k-1 are tried (see
     the module docstring), and those whose ids match at (i, j) form a
-    prefix of k..2k-1.
+    prefix of k..2k-1.  Scores are read from their residues against the
+    score of the walk's cell (see _Scores); the int32 table is never built.
     """
     k = state.k
     x_ids, y_ids = state.x_ids.tolist(), state.y_ids.tolist()
+    scores = _Scores(state)
 
     def chunk_lengths(i, j, score):
+        scores.at(i, j, score)
         w = k
         while w < 2 * k and x_ids[w - k][i] == y_ids[w - k][j]:
             yield w
             w += 1
 
-    return walk_chunks(state.lengths, k, chunk_lengths)
+    return walk_chunks(scores, k, chunk_lengths)

@@ -260,7 +260,7 @@ class TestOp:
 
 @pytest.mark.parametrize("mode, text_x, text_y, table, length", [
     ("exact", "31415", "2714181", "48 bytes of uint8", "3"),
-    ("op", "3 1 4 1 5", "2 7 1 4 1 8 1", "192 bytes of int32", "5"),
+    ("op", "3 1 4 1 5", "2 7 1 4 1 8 1", "48 bytes of uint8", "5"),
 ])
 def test_table_too_big_exits_2(mode, text_x, text_y, table, length, files, capsys, monkeypatch):
     # an allocator that refuses the 6 x 8 score table and nothing else

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 import tracemalloc
@@ -8,8 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import lcsk.op_lcs
-from lcsk.core import Params, validate_alignment
-from lcsk.op_lcs import op_lcs_kplus_length, op_lcs_kplus_state, op_traceback
+from lcsk.core import Params, validate_alignment, walk_chunks
+from lcsk.op_lcs import OpDpState, op_lcs_kplus_length, op_lcs_kplus_state, op_traceback
 from lcsk.oracles import naive_op_lcs_kplus
 from lcsk.order_iso import build_oplce_table
 
@@ -35,6 +36,26 @@ def uncapped_scores(xs, ys, k):
                 best = max(best, c[i - ln][j - ln] + ln)
             c[i][j] = best
     return np.array(c, dtype=np.int32)
+
+
+def int32_scores(xs, ys, k):
+    """The score table from the sweep, stored in int32 with no modulus."""
+    x_ids, y_ids = lcsk.op_lcs._window_ids(tuple(xs), tuple(ys), k)
+    table = np.zeros((len(xs) + 1, len(ys) + 1), dtype=np.int32)
+    if min(len(xs), len(ys)) >= k:
+        lcsk.op_lcs._sweep(x_ids, y_ids, k, table)
+    return table
+
+
+def int32_walk(state, table):
+    """Reference walk over an int32 table: shortest chunk first, among the
+    lengths k..2k-1 whose window ids match at (i, j)."""
+    k, x_ids, y_ids = state.k, state.x_ids, state.y_ids
+
+    def chunk_lengths(i, j, score):
+        return [w for w in range(k, 2 * k) if x_ids[w - k, i] == y_ids[w - k, j]]
+
+    return walk_chunks(table, k, chunk_lengths)
 
 
 def run_heavy(rng, n):
@@ -274,3 +295,81 @@ class TestTraceback:
     def test_traceback_twice_from_same_state(self):
         state = op_lcs_kplus_state(EX_X, EX_Y, 3)
         assert op_traceback(state) == op_traceback(state)  # traceback does not mutate
+
+    @pytest.mark.parametrize("k, bound", [(3, 1.5), (10, 2.6)])
+    def test_witness_peak_per_cell(self, k, bound):
+        # scores modulo 2^8 (k=3) or 2^16 (k=10); beside them the sweep keeps
+        # O(k * n) mask and row buffers, about 0.25 B/cell at k=3 here
+        rng = np.random.default_rng(k)
+        x = rng.integers(1, 1001, 2000).tolist()
+        y = x[:600] + rng.integers(1, 1001, 1400).tolist()
+        tracemalloc.start()
+        try:
+            a = op_traceback(op_lcs_kplus_state(x, y, k))
+            peak = tracemalloc.get_traced_memory()[1] / (2001 * 2001)
+        finally:
+            tracemalloc.stop()
+        assert a.total >= 600
+        assert peak < bound
+
+    def test_walk_never_decodes_the_table(self, monkeypatch):
+        xs, ys = EX_X + EX_X, EX_Y + EX_X
+        state = op_lcs_kplus_state(xs, ys, 3)
+        want = int32_walk(state, state.lengths)
+        monkeypatch.setattr(OpDpState, "lengths", property(lambda s: pytest.fail("decoded")))
+        assert op_traceback(state) == want
+
+    @given(st.one_of(st.tuples(dup_seqs, dup_seqs), st.tuples(wide_seqs, wide_seqs)), st.integers(2, 5))
+    @settings(max_examples=200)
+    def test_same_walk_as_int32_grid(self, pair, k):
+        xs, ys = pair
+        state = op_lcs_kplus_state(xs, ys, k)
+        assert np.array_equal(state.lengths, int32_scores(xs, ys, k))
+        assert op_traceback(state) == int32_walk(state, state.lengths)
+
+    @pytest.mark.parametrize("k, dtype", [(8, np.uint8), (9, np.uint16), (128, np.uint16), (129, np.int32)])
+    def test_dtype_switch_points(self, k, dtype):
+        # the smallest dtype that holds 2k(2k-1): 240 at k=8, 306 at k=9,
+        # 65280 at k=128 and 66306 at k=129
+        rng = random.Random(k)
+        xs = run_heavy(rng, 400)
+        ys = tuple(2 * v - 3 for v in xs[:200]) + planted_pair(rng, xs, 200, k)
+        state = op_lcs_kplus_state(xs, ys, k)
+        assert state.scores.dtype == dtype
+        want = uncapped_scores(xs, ys, k)
+        assert np.array_equal(state.lengths, want)
+        assert state.length == int(want[-1, -1]) > 255  # uint8 scores wrap at k=8
+        a = op_traceback(state)
+        assert a == int32_walk(state, want)
+        assert validate_alignment(xs, ys, Params(k=k, mode="op"), a)
+
+    def test_scores_wrap_around(self):
+        # a 700-value run series against 3v+7 of itself: the total is 700,
+        # so uint8 scores wrap twice along the diagonal
+        xs = run_heavy(random.Random(700), 700)
+        ys = tuple(3 * v + 7 for v in xs)
+        state = op_lcs_kplus_state(xs, ys, 3)
+        assert state.scores.dtype == np.uint8 and state.length == 700
+        want = int32_scores(xs, ys, 3)
+        assert np.array_equal(state.lengths, want)
+        assert op_traceback(state) == int32_walk(state, want)
+
+    def test_uint16_scores_wrap_around(self):
+        # no table that fits here has scores above 2^16, so shift every
+        # score by a constant that puts 2^16 halfway along the walk
+        rng = random.Random(16)
+        xs = run_heavy(rng, 300)
+        ys = planted_pair(rng, xs, 300, 9)
+        state = op_lcs_kplus_state(xs, ys, 9)
+        assert state.scores.dtype == np.uint16
+        shift = 2**16 - state.length // 2
+        wrapped = dataclasses.replace(
+            state,
+            length=state.length + shift,
+            scores=((state.scores.astype(np.int64) + shift) % 2**16).astype(np.uint16),
+        )
+        assert (wrapped.scores < shift).any()  # some stored scores wrapped
+        want = int32_scores(xs, ys, 9)
+        assert np.array_equal(wrapped.lengths, want)
+        a, ref = op_traceback(wrapped), int32_walk(state, want)
+        assert a.chunks == ref.chunks and a.total == ref.total + shift
