@@ -54,6 +54,27 @@ M:
 OP_X = "14, 84, 82, 31, 74, 68, 87, 11, 20, 32"
 OP_Y = "21 64 2 83 73 51 5 29 7 71"
 
+OP_CHUNKS_K3 = """\
+7
+{"total":7,"chunks":[{"x":1,"y":3,"len":4},{"x":5,"y":8,"len":3}]}
+"""
+OP_DUMP_K3 = """\
+7
+C:
+    - 21 64  2 83 73 51  5 29  7 71
+ -  0  0  0  0  0  0  0  0  0  0  0
+14  0  0  0  0  0  0  0  0  0  0  0
+84  0  0  0  0  0  0  0  0  0  0  0
+82  0  0  0  0  0  3  3  3  3  3  3
+31  0  0  0  0  0  3  4  4  4  4  4
+74  0  0  0  0  0  3  4  4  4  4  4
+68  0  0  0  0  0  3  4  4  4  6  6
+87  0  0  0  0  3  3  4  4  4  6  7
+11  0  0  0  3  3  3  4  4  4  6  7
+20  0  0  0  3  3  3  4  4  6  6  7
+32  0  0  0  3  3  3  4  4  6  6  7
+"""
+
 # separators of op files: commas and any Unicode whitespace, line breaks included
 SEPARATORS = [",", " ", "\t", "\n", "\r\n", "\r", ", ", "\x0b", "\x0c", "\x1c", "\x85",
               "\u00a0", "\u2003", "\u2028", "\u3000"]
@@ -105,7 +126,39 @@ def run(capsys, argv):
     return code, captured.out, captured.err
 
 
-class TestExact:
+class BothModes:
+    """CLI behaviour that is the same in both modes; TestExact and TestOp
+    set MODE, the golden pair X, Y at K with its LENGTH, and LONG, a file
+    text of 65 symbols."""
+
+    def test_dump_tables_size_limit(self, files, capsys):
+        x, y = files("x", self.LONG), files("y", self.Y)
+        code, out, err = run(capsys, [self.MODE, x, y, "--k", "2", "--dump-tables"])
+        assert (code, out, err) == (2, "", "--dump-tables needs inputs of length <= 64\n")
+
+    def test_quiet_conflicts(self, files, capsys):
+        x, y = files("x", self.X), files("y", self.Y)
+        for flag in ("--chunks", "--dump-tables"):
+            code, out, err = run(capsys, [self.MODE, x, y, "--k", str(self.K), "--quiet", flag])
+            assert (code, out, err) == (2, "", "--quiet conflicts with --chunks/--dump-tables\n")
+
+    def test_out_writes_file(self, files, capsys, tmp_path):
+        x, y = files("x", self.X), files("y", self.Y)
+        target = tmp_path / "result.txt"
+        code, out, _ = run(capsys, [self.MODE, x, y, "--k", str(self.K), "--out", str(target)])
+        assert code == 0 and out == "" and target.read_text() == f"{self.LENGTH}\n"
+
+    def test_byte_identical_across_runs(self, files, capsys):
+        x, y = files("x", self.X), files("y", self.Y)
+        argv = [self.MODE, x, y, "--k", str(self.K), "--chunks", "--dump-tables"]
+        _, out1, _ = run(capsys, argv)
+        _, out2, _ = run(capsys, argv)
+        assert out1 == out2
+
+
+class TestExact(BothModes):
+    MODE, X, Y, K, LENGTH, LONG = "exact", EX_X, EX_Y, 2, 5, "a" * 65
+
     def test_golden(self, files, capsys):
         x, y = files("x", EX_X), files("y", EX_Y + "\n")  # newline is stripped
         code, out, _ = run(capsys, ["exact", x, y, "--k", "2"])
@@ -149,16 +202,6 @@ class TestExact:
         assert code == 0
         assert out == EX_DUMP_K2
 
-    def test_dump_tables_size_limit(self, files, capsys):
-        x, y = files("x", "a" * 65), files("y", "a")
-        code, _, err = run(capsys, ["exact", x, y, "--k", "2", "--dump-tables"])
-        assert code == 2 and "64" in err
-
-    def test_quiet_conflicts(self, files, capsys):
-        x, y = files("x", "ab"), files("y", "ab")
-        code, _, _ = run(capsys, ["exact", x, y, "--k", "1", "--quiet", "--chunks"])
-        assert code == 2
-
     def test_low_mem_rejects_chunks(self, files, capsys):
         x, y = files("x", "ab"), files("y", "ab")
         for flag in ("--chunks", "--dump-tables"):
@@ -175,21 +218,10 @@ class TestExact:
         code, _, err = run(capsys, ["exact", "/nonexistent/path", y, "--k", "1"])
         assert code == 1 and err
 
-    def test_out_writes_file(self, files, capsys, tmp_path):
-        x, y = files("x", EX_X), files("y", EX_Y)
-        target = tmp_path / "result.txt"
-        code, out, _ = run(capsys, ["exact", x, y, "--k", "2", "--out", str(target)])
-        assert code == 0 and out == "" and target.read_text() == "5\n"
 
-    def test_byte_identical_across_runs(self, files, capsys):
-        x, y = files("x", EX_X), files("y", EX_Y)
-        argv = ["exact", x, y, "--k", "2", "--chunks", "--dump-tables"]
-        _, out1, _ = run(capsys, argv)
-        _, out2, _ = run(capsys, argv)
-        assert out1 == out2
+class TestOp(BothModes):
+    MODE, X, Y, K, LENGTH, LONG = "op", OP_X, OP_Y, 3, 7, " ".join(["1"] * 65)
 
-
-class TestOp:
     def test_golden(self, files, capsys):
         x, y = files("x", OP_X), files("y", OP_Y)
         code, out, _ = run(capsys, ["op", x, y, "--k", "3"])
@@ -256,6 +288,16 @@ class TestOp:
         x, y = files("x", "1 2 3"), files("y", "4 5 6")
         code, out, _ = run(capsys, ["op", x, y, "--k", "2", "--dump-tables"])
         assert code == 0 and "C:" in out
+
+    def test_chunks_golden(self, files, capsys):
+        x, y = files("x", OP_X), files("y", OP_Y)
+        code, out, _ = run(capsys, ["op", x, y, "--k", "3", "--chunks"])
+        assert code == 0 and out == OP_CHUNKS_K3
+
+    def test_dump_tables_golden(self, files, capsys):
+        x, y = files("x", OP_X), files("y", OP_Y)
+        code, out, _ = run(capsys, ["op", x, y, "--k", "3", "--dump-tables"])
+        assert code == 0 and out == OP_DUMP_K3
 
 
 @pytest.mark.parametrize("mode, text_x, text_y, table, length", [
