@@ -7,34 +7,24 @@ that illustrate why op mode needs equality-aware comparisons.
 
 import sys
 
+from lcsk import exact, op_lcs
 from lcsk.core import Params, validate_alignment
-from lcsk.exact import compute_tables, lcs_kplus_length, traceback
-from lcsk.op_lcs import op_lcs_kplus_state, op_traceback
 from lcsk.order_iso import build_oplce_table, order_isomorphic
 
 
-def show_exact(x, y, k):
-    tables = compute_tables(x, y, k)
-    alignment = traceback(tables, x, y, k)
-    ok = validate_alignment(x, y, Params(k=k), alignment)
-    print(f"exact  x={x!r} y={y!r} k={k}")
-    print(f"  length={lcs_kplus_length(x, y, k)}  chunks={alignment.chunks}"
-          f"  valid={ok}")
-
-
-def show_op(x, y, k):
-    state = op_lcs_kplus_state(x, y, k)
-    alignment = op_traceback(state)
-    ok = validate_alignment(x, y, Params(k=k, mode="op"), alignment)
-    print(f"op     x={x} y={y} k={k}")
-    print(f"  length={state.length}  chunks={alignment.chunks}  valid={ok}")
+def show(mode, x, y, k):
+    """One solve through the mode's record: length, witness, and its check."""
+    alignment = mode.walk(mode.solve(x, y, k, witness=True), x, y, k)
+    ok = validate_alignment(x, y, Params(k=k, mode=mode.name), alignment)
+    print(f"{mode.name:<6} x={x!r} y={y!r} k={k}")
+    print(f"  length={mode.solve(x, y, k)}  chunks={alignment.chunks}  valid={ok}")
 
 
 def main():
-    show_exact("acdbacbc", "aacdabca", 2)
-    show_exact("ATTCGTATCG", "ATTGCTATGC", 2)
-    show_op((14, 84, 82, 31, 74, 68, 87, 11, 20, 32),
-            (21, 64, 2, 83, 73, 51, 5, 29, 7, 71), 3)
+    show(exact.MODE, "acdbacbc", "aacdabca", 2)
+    show(exact.MODE, "ATTCGTATCG", "ATTGCTATGC", 2)
+    show(op_lcs.MODE, (14, 84, 82, 31, 74, 68, 87, 11, 20, 32),
+         (21, 64, 2, 83, 73, 51, 5, 29, 7, 71), 3)
 
     print()
     a = (32, 40, 4, 16, 27)

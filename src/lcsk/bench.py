@@ -14,10 +14,9 @@ from typing import IO, Iterable
 
 import numpy as np
 
-from .exact import lcs_kplus_length
-from .op_lcs import op_lcs_kplus_length
+from . import exact, op_lcs
 
-_MODE_ID = {"exact": 0, "op": 1}
+_MODES = {"exact": exact.MODE, "op": op_lcs.MODE}
 
 # repeat cells until this much time has accumulated (or _MAX_REPEAT runs)
 _MIN_CELL_SECONDS = 0.1
@@ -40,45 +39,32 @@ def generate_pair(mode: str, n: int, sigma: int, seed: int):
     Exact mode draws symbols from an alphabet of size sigma; op mode draws
     integer values from [1, sigma] (sigma doubles as the value range).
     """
-    if mode not in _MODE_ID:
+    if mode not in _MODES:
         raise ValueError(f"unknown mode {mode!r}")
     if n < 0 or sigma < 1:
         raise ValueError("need n >= 0 and sigma >= 1")
-    rng = np.random.default_rng([seed, _MODE_ID[mode], n, sigma])
-    if mode == "exact":
-        xs = rng.integers(0, sigma, size=n)
-        ys = rng.integers(0, sigma, size=n)
-    else:
-        xs = rng.integers(1, sigma + 1, size=n)
-        ys = rng.integers(1, sigma + 1, size=n)
-    return xs.tolist(), ys.tolist()
+    rng = np.random.default_rng([seed, list(_MODES).index(mode), n, sigma])  # mode id: exact 0, op 1
+    low = 0 if mode == "exact" else 1
+    return tuple(rng.integers(low, low + sigma, size=n).tolist() for _ in range(2))
 
 
 def run_cells(
     mode: str, n_list: Iterable[int], k_list: Iterable[int], sigma: int, seed: int
 ) -> list:
     """Time every (n, k) cell; returns BenchCell rows in deterministic order."""
-    solver = lcs_kplus_length if mode == "exact" else op_lcs_kplus_length
+    solve = _MODES[mode].solve
     wx, wy = generate_pair(mode, 16, sigma, seed)
-    solver(wx, wy, max(2, min(k_list, default=2)))  # warm-up (first numpy calls, caches)
+    solve(wx, wy, max(2, min(k_list, default=2)))  # warm-up (first numpy calls, caches)
     rows = []
     for n in n_list:
         xs, ys = generate_pair(mode, n, sigma, seed)
         for k in k_list:
-            best = None
-            spent = 0.0
-            for _ in range(_MAX_REPEAT):
+            times: list = []
+            while len(times) < _MAX_REPEAT and sum(times) < _MIN_CELL_SECONDS:
                 t0 = time.perf_counter()
-                length = solver(xs, ys, k)
-                dt = time.perf_counter() - t0
-                spent += dt
-                if best is None or dt < best:
-                    best = dt
-                if spent >= _MIN_CELL_SECONDS:
-                    break
-            rows.append(
-                BenchCell(mode=mode, n=n, k=k, sigma=sigma, seconds=best, length=length)
-            )
+                length = solve(xs, ys, k)
+                times.append(time.perf_counter() - t0)
+            rows.append(BenchCell(mode, n, k, sigma, seconds=min(times), length=length))
     return rows
 
 

@@ -1,7 +1,10 @@
 """Command-line front end: exact, op, and bench subcommands.
 
+One body, cmd_solve, serves exact and op through each mode's core.Mode
+record; the file reader and the --dump-tables grids differ by mode.
+
 Input formats: exact mode reads each sequence as raw bytes (one trailing
-newline stripped); op mode reads comma- or whitespace-separated signed
+LF, CRLF or CR stripped); op mode reads comma- or whitespace-separated signed
 integers.  Default output is the bare length; --chunks appends one line of
 alignment JSON.  Exit codes: 0 success, 1 I/O or parse error, 2 usage
 error or a score table that cannot be allocated.
@@ -10,14 +13,14 @@ error or a score table that cannot be allocated.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import re
 import sys
 
+from . import exact, op_lcs
 from .core import check_k
-from .exact import chunk_max_table, compute_tables, lcs_kplus_length, match_run_table, traceback
-from .op_lcs import op_lcs_kplus_length, op_lcs_kplus_state, op_traceback
 
 _DUMP_LIMIT = 64
 _TOKEN = re.compile(r"[^\s,]+")
@@ -82,71 +85,48 @@ def _bad_k(ks, mode: str) -> bool:
     return False
 
 
-def _emit(text: str, out_path) -> None:
-    if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+def _out(path):
+    """The --out file, or stdout."""
+    return open(path, "w") if path else contextlib.nullcontext(sys.stdout)
 
 
-def cmd_exact(ns: argparse.Namespace) -> int:
-    if _bad_k([ns.k], "exact"):
+# per command: the mode, its file reader, how --dump-tables prints a symbol
+# (printable bytes as characters) and which grids it prints
+_COMMANDS = {
+    "exact": (exact.MODE, _read_exact_file, lambda v: chr(v) if 33 <= v <= 126 else str(v),
+              lambda t, xs, ys, k: (("C", t.lengths), ("L", exact.match_run_table(xs, ys)),
+                                    ("M", exact.chunk_max_table(xs, ys, k)))),
+    "op": (op_lcs.MODE, _read_op_file, str, lambda state, xs, ys, k: (("C", state.lengths),)),
+}
+
+
+def cmd_solve(ns: argparse.Namespace) -> int:
+    mode, read, symbol, grids = _COMMANDS[ns.command]
+    if _bad_k([ns.k], ns.command):
         return 2
-    if ns.low_mem and (ns.chunks or ns.dump_tables):
+    witness = ns.chunks or ns.dump_tables
+    if ns.low_mem and witness:
         print("--low-mem cannot produce --chunks/--dump-tables (no tables kept)", file=sys.stderr)
         return 2
-    if ns.quiet and (ns.chunks or ns.dump_tables):
+    if ns.quiet and witness:
         print("--quiet conflicts with --chunks/--dump-tables", file=sys.stderr)
         return 2
-    xs = _read_exact_file(ns.file_x)
-    ys = _read_exact_file(ns.file_y)
+    xs, ys = read(ns.file_x), read(ns.file_y)
     if ns.dump_tables and max(len(xs), len(ys)) > _DUMP_LIMIT:
         print(f"--dump-tables needs inputs of length <= {_DUMP_LIMIT}", file=sys.stderr)
         return 2
-    def sym(v):  # printable bytes render as characters, the rest as numbers
-        return chr(v) if 33 <= v <= 126 else str(v)
-    lines = []
-    if not (ns.chunks or ns.dump_tables):
-        length = lcs_kplus_length(xs, ys, ns.k)
-        lines.append(str(length))
+    if not witness:
+        lines = [str(mode.solve(xs, ys, ns.k))]
     else:
-        tables = compute_tables(xs, ys, ns.k)
-        lines.append(str(tables.length))
+        state = mode.solve(xs, ys, ns.k, witness=True)
+        lines = [str(state.length)]
         if ns.chunks:
-            alignment = traceback(tables, xs, ys, ns.k)
+            alignment = mode.walk(state, xs, ys, ns.k)
             lines.append(json.dumps(alignment.to_json(), separators=(",", ":")))
         if ns.dump_tables:
-            lines.append(_grid("C", tables.lengths, xs, ys, sym))
-            lines.append(_grid("L", match_run_table(xs, ys), xs, ys, sym))
-            lines.append(_grid("M", chunk_max_table(xs, ys, ns.k), xs, ys, sym))
-    _emit("\n".join(lines) + "\n", ns.out)
-    return 0
-
-
-def cmd_op(ns: argparse.Namespace) -> int:
-    if _bad_k([ns.k], "op"):
-        return 2
-    if ns.quiet and (ns.chunks or ns.dump_tables):
-        print("--quiet conflicts with --chunks/--dump-tables", file=sys.stderr)
-        return 2
-    xs = _read_op_file(ns.file_x)
-    ys = _read_op_file(ns.file_y)
-    if ns.dump_tables and max(len(xs), len(ys)) > _DUMP_LIMIT:
-        print(f"--dump-tables needs inputs of length <= {_DUMP_LIMIT}", file=sys.stderr)
-        return 2
-    lines = []
-    if ns.chunks or ns.dump_tables:
-        state = op_lcs_kplus_state(xs, ys, ns.k)
-        lines.append(str(state.length))
-        if ns.chunks:
-            alignment = op_traceback(state)
-            lines.append(json.dumps(alignment.to_json(), separators=(",", ":")))
-        if ns.dump_tables:
-            lines.append(_grid("C", state.lengths, xs, ys, str))
-    else:
-        lines.append(str(op_lcs_kplus_length(xs, ys, ns.k)))
-    _emit("\n".join(lines) + "\n", ns.out)
+            lines += [_grid(*grid, xs, ys, symbol) for grid in grids(state, xs, ys, ns.k)]
+    with _out(ns.out) as fh:
+        fh.write("\n".join(lines) + "\n")
     return 0
 
 
@@ -162,11 +142,8 @@ def cmd_bench(ns: argparse.Namespace) -> int:
     if _bad_k(ns.k_list, ns.mode):
         return 2
     rows = bench.run_cells(ns.mode, ns.n, ns.k_list, ns.sigma, ns.seed)
-    if ns.out:
-        with open(ns.out, "w") as fh:
-            bench.write_csv(rows, fh)
-    else:
-        bench.write_csv(rows, sys.stdout)
+    with _out(ns.out) as fh:
+        bench.write_csv(rows, fh)
     return 0
 
 
@@ -183,26 +160,22 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_exact = sub.add_parser("exact", help="LCS_k+ of two byte-sequence files")
-    p_exact.add_argument("file_x")
-    p_exact.add_argument("file_y")
-    p_exact.add_argument("--k", type=int, required=True, help="minimum chunk length")
-    p_exact.add_argument("--chunks", action="store_true", help="also print alignment JSON")
-    p_exact.add_argument("--low-mem", action="store_true", help="O(k*min(m,n)) memory path")
-    p_exact.add_argument("--dump-tables", action="store_true", help="print C/L/M grids")
-    p_exact.add_argument("--quiet", action="store_true", help="bare length only")
-    p_exact.add_argument("--out", help="write output to a file instead of stdout")
-    p_exact.set_defaults(func=cmd_exact)
-
-    p_op = sub.add_parser("op", help="op-LCS_k+ of two integer-sequence files")
-    p_op.add_argument("file_x")
-    p_op.add_argument("file_y")
-    p_op.add_argument("--k", type=int, required=True, help="minimum chunk length (>= 2)")
-    p_op.add_argument("--chunks", action="store_true", help="also print alignment JSON")
-    p_op.add_argument("--dump-tables", action="store_true", help="print the score grid")
-    p_op.add_argument("--quiet", action="store_true", help="bare length only")
-    p_op.add_argument("--out", help="write output to a file instead of stdout")
-    p_op.set_defaults(func=cmd_op)
+    for name, what, k_help, grids_help in (
+        ("exact", "LCS_k+ of two byte-sequence files", "minimum chunk length", "print C/L/M grids"),
+        ("op", "op-LCS_k+ of two integer-sequence files", "minimum chunk length (>= 2)",
+         "print the score grid"),
+    ):
+        p = sub.add_parser(name, help=what)
+        p.add_argument("file_x")
+        p.add_argument("file_y")
+        p.add_argument("--k", type=int, required=True, help=k_help)
+        p.add_argument("--chunks", action="store_true", help="also print alignment JSON")
+        if name == "exact":
+            p.add_argument("--low-mem", action="store_true", help="O(k*min(m,n)) memory path")
+        p.add_argument("--dump-tables", action="store_true", help=grids_help)
+        p.add_argument("--quiet", action="store_true", help="bare length only")
+        p.add_argument("--out", help="write output to a file instead of stdout")
+        p.set_defaults(func=cmd_solve, low_mem=False)
 
     p_bench = sub.add_parser("bench", help="time solver cells, emit CSV")
     p_bench.add_argument("--mode", choices=("exact", "op"), required=True)

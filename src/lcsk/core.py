@@ -4,13 +4,17 @@ A *chunk alignment* decomposes a common subsequence into consecutive
 substring pairs ("chunks"), each at least ``k`` long.  In exact mode the
 paired substrings must be equal; in order-preserving (op) mode they must
 be order-isomorphic.
+
+Both modes solve one recurrence that differs only in the chunk test: a
+Mode record holds each mode's steps, and Mode.solve drives every entry
+point.
 """
 
 from __future__ import annotations
 
 import numbers
 from dataclasses import dataclass, field
-from typing import Any, Iterable
+from typing import Any, Callable, Iterable
 
 import numpy as np
 
@@ -31,12 +35,26 @@ def check_k(k, mode: str = "exact") -> int:
 
 
 def has_nan(values) -> bool:
-    """True if some value, or an item of a tuple value, is NaN.
-
-    A NaN is not equal to itself, but tuples and dicts compare items by
-    identity first, so answers on NaN would depend on object identity.
+    """True if some value, or an item of a tuple or frozenset value at any
+    depth, is NaN.  A NaN is not equal to itself, but tuples, frozensets
+    and dicts compare items by identity first, so answers on NaN would
+    depend on object identity.
     """
-    return any(has_nan(v) if isinstance(v, tuple) else v != v for v in values)
+    return any(has_nan(v) if isinstance(v, (tuple, frozenset)) else v != v for v in values)
+
+
+def distinct(values, mode: str) -> dict:
+    """The distinct values, as dict keys in first-seen order (reproducible
+    errors).  Both modes need them hashable and free of NaN."""
+    try:
+        keys = dict.fromkeys(values)
+    except TypeError as exc:  # e.g. list values
+        what = "symbols" if mode == "exact" else "values"
+        raise TypeError(f"{mode} mode needs hashable {what}: {exc}") from None
+    if has_nan(keys):
+        what = "symbols equal to themselves" if mode == "exact" else "totally ordered values"
+        raise ValueError(f"{mode} mode needs {what}; got NaN")
+    return keys
 
 
 def table_dtype(bound: int):
@@ -158,6 +176,39 @@ def walk_chunks(lengths, k: int, chunk_lengths) -> ChunkAlignment:
                 raise RuntimeError("inconsistent DP table at (%d, %d)" % (i, j))
     chunks.reverse()
     return ChunkAlignment(total=total, chunks=tuple(chunks))
+
+
+@dataclass(frozen=True)
+class Mode:
+    """A matching mode's steps, and solve, the one driver that runs them.
+
+    window_ids(xs, ys, k) checks the symbols of two tuples and gives ids
+    to their windows, equal where a chunk can end; sweep(x_ids, y_ids, k,
+    table) returns C[m, n] and fills ``table``, whose cells hold values
+    up to table_bound(k), unless it is None; walk(state, x, y, k) reads
+    state(k, length, table, x_ids, y_ids) back into a ChunkAlignment.
+    """
+
+    name: str
+    window_ids: Callable
+    sweep: Callable
+    table_bound: Callable
+    state: Callable
+    walk: Callable
+
+    def solve(self, x, y, k, witness: bool = False):
+        """C[m, n], or with ``witness`` the state walk reads.  The length
+        path keeps no table, and its rows span the shorter input."""
+        k = check_k(k, self.name)
+        xs, ys = as_items(x), as_items(y)
+        if not witness and len(xs) < len(ys):
+            xs, ys = ys, xs  # both problems are symmetric
+        x_ids, y_ids = self.window_ids(xs, ys, k)
+        table = None
+        if witness:  # rows below k and column 0 score 0
+            table = zeros_table(len(xs) + 1, len(ys) + 1, table_dtype(self.table_bound(k)))
+        length = self.sweep(x_ids, y_ids, k, table) if min(len(xs), len(ys)) >= k else 0
+        return self.state(k, length, table, x_ids, y_ids) if witness else length
 
 
 def validate_alignment(x, y, params: Params, alignment: ChunkAlignment) -> bool:

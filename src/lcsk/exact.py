@@ -8,12 +8,13 @@ Quadratic DP over two quantities:
 
 Rows only depend on rows i-1 and i-k of lengths and row i-1 of chunk_max,
 so one numpy row loop, _sweep, runs on a ring of k+1 score rows and two
-chunk_max rows for both entry points.  The length path keeps the rings
-alone, over the shorter sequence: O(k * min(m, n)) ints.  compute_tables
-has _sweep store each finished score row as its differences along the
-row, which lie in [0, k]: one byte per cell for k <= 255 (see DpTables).
-traceback reads scores from the differences as it walks and never builds
-the int32 table.  chunk_max_table builds the full chunk_max grid from its
+chunk_max rows for both entry points, which MODE.solve (see core.Mode)
+drives.  The length path keeps the rings alone, over the shorter
+sequence: O(k * min(m, n)) ints.  compute_tables has _sweep store each
+finished score row as its differences along the row, which lie in
+[0, k]: one byte per cell for k <= 255 (see DpTables).  traceback reads
+scores from the differences as it walks and never builds the int32
+table.  chunk_max_table builds the full chunk_max grid from its
 definition, out of the score table and match_run_table, for display and
 tests.
 """
@@ -24,27 +25,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ChunkAlignment, as_items, check_k, has_nan, table_dtype, walk_chunks, zeros_table
+from .core import ChunkAlignment, Mode, as_items, distinct, walk_chunks
 
 
 def _encode(xs: tuple, ys: tuple):
     """Map symbols of both sequences onto small ints for fast numpy equality.
 
-    NaN, bare or inside a tuple, is rejected: a dict matches one shared NaN
-    object by identity but not two distinct ones, so the answer would
-    depend on object identity.  Only the distinct symbols are checked.
+    NaN, bare or inside a tuple or frozenset, is rejected (core.distinct):
+    a dict matches one shared NaN object by identity but not two distinct
+    ones, so the answer would depend on object identity.
     """
-    codes: dict = {}
-    try:
-        encoded = tuple(
-            np.array([codes.setdefault(v, len(codes)) for v in seq], dtype=np.int32)
-            for seq in (xs, ys)
-        )
-    except TypeError as exc:  # e.g. list symbols
-        raise TypeError(f"exact mode needs hashable symbols: {exc}") from None
-    if has_nan(codes):
-        raise ValueError("exact mode needs symbols equal to themselves; got NaN")
-    return encoded
+    codes = {v: c for c, v in enumerate(distinct(xs + ys, "exact"))}
+    return tuple(np.array([codes[v] for v in seq], dtype=np.int32) for seq in (xs, ys))
 
 
 @dataclass(frozen=True)
@@ -70,21 +62,18 @@ class DpTables:
 
     ``x_ids[t]`` and ``y_ids[t]`` are the ids of the length-k windows that
     start at x_{t+1} and y_{t+1} (empty when min(m, n) < k): a chunk can
-    end at (i, j) iff x_ids[i-k] == y_ids[j-k].
+    end at (i, j) iff x_ids[i-k] == y_ids[j-k].  ``length`` is C[m, n].
     """
 
     diffs: np.ndarray
     x_ids: np.ndarray
     y_ids: np.ndarray
+    length: int
 
     @property
     def lengths(self) -> np.ndarray:
         """The decoded (m+1) x (n+1) int32 score table, 4 bytes per cell."""
         return np.cumsum(self.diffs, axis=1, dtype=np.int32)
-
-    @property
-    def length(self) -> int:
-        return int(self.diffs[-1].sum(dtype=np.int64))
 
 
 def match_run_table(x, y) -> np.ndarray:
@@ -106,16 +95,7 @@ def compute_tables(x, y, k: int) -> DpTables:
     _sweep, the row loop of the length path, fills the rows over x and
     stores each row's differences as it finishes.
     """
-    k = check_k(k)
-    xa, ya = _encode(as_items(x), as_items(y))
-    m, n = len(xa), len(ya)
-    diffs = zeros_table(m + 1, n + 1, table_dtype(k))  # rows below k and column 0 score 0
-    if min(m, n) < k:
-        none = np.empty(0, dtype=np.int32)
-        return DpTables(diffs, none, none)
-    xg, yg = _window_ids(xa, ya, k)
-    _sweep(xg, yg, k, diffs)
-    return DpTables(diffs, xg, yg)
+    return MODE.solve(x, y, k, witness=True)
 
 
 def chunk_max_table(x, y, k: int) -> np.ndarray:
@@ -131,12 +111,17 @@ def chunk_max_table(x, y, k: int) -> np.ndarray:
     return chunk
 
 
-def _window_ids(xa: np.ndarray, ya: np.ndarray, k: int):
-    """Ids of the length-k windows of xa and ya; equal ids iff equal windows.
+def _window_ids(xs: tuple, ys: tuple, k: int):
+    """Ids of the length-k windows of xs and ys; equal ids iff equal windows.
+    Both are empty when min(m, n) < k.
 
-    Codes are below s, so each extra symbol multiplies the id range by s;
-    ids are re-ranked with np.unique before they could overflow int64.
+    Symbols are encoded as codes below s, so each extra symbol multiplies
+    the id range by s; ids are re-ranked with np.unique before they could
+    overflow int64.
     """
+    xa, ya = _encode(xs, ys)
+    if min(len(xa), len(ya)) < k:
+        return xa[:0], ya[:0]
     s = int(max(xa.max(), ya.max())) + 1
     gx, gy = xa.astype(np.int64), ya.astype(np.int64)
     span = s
@@ -199,12 +184,7 @@ def lcs_kplus_length(x, y, k: int) -> int:
     _sweep without a table; rows run over the longer sequence so that they
     span the shorter one.
     """
-    k = check_k(k)
-    xs, ys = as_items(x), as_items(y)
-    if len(xs) < len(ys):
-        xs, ys = ys, xs  # the problem is symmetric; keep rows short
-    xa, ya = _encode(xs, ys)
-    return _sweep(*_window_ids(xa, ya, k), k) if len(ys) >= k else 0
+    return MODE.solve(x, y, k)
 
 
 class _Scores:
@@ -300,3 +280,8 @@ def traceback(tables: DpTables, x, y, k: int) -> ChunkAlignment:
         return (longest,) if longest else ()
 
     return walk_chunks(scores, k, chunk_lengths)
+
+
+MODE = Mode("exact", _window_ids, _sweep, table_bound=lambda k: k,
+            state=lambda k, length, diffs, x_ids, y_ids: DpTables(diffs, x_ids, y_ids, length),
+            walk=traceback)

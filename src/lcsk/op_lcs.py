@@ -42,6 +42,9 @@ it knows, w rows and w columns away, or one step left or up, so the score
 read lies in [s - 2k(2k-1), s] and its residue fixes it:
 s - ((s - stored) mod 2^bits).
 
+MODE.solve (see core.Mode) drives both entry points: window ids, the
+sweep, and the score table when a witness is asked for.
+
 Cost: O(k * mn) element operations in O(m) numpy calls, plus O((m+n) * k)
 element operations and 2k-2 sorts of m+n ids for the window ids.  The
 paper's k-independent O(mn) bound, from an op-LCE table and window maxima,
@@ -56,7 +59,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from .core import ChunkAlignment, as_items, check_k, has_nan, table_dtype, walk_chunks, zeros_table
+from .core import ChunkAlignment, Mode, distinct, walk_chunks
 
 # A group of row blocks shares one window-id comparison and one slide of
 # the row buffer.  A block's masks take k entries per row and column;
@@ -107,20 +110,21 @@ class OpDpState:
 
 
 def _ranks(values: tuple) -> np.ndarray:
-    """Dense ranks of hashable, mutually comparable, NaN-free values.
+    """Dense ranks of hashable, totally ordered, NaN-free values.
 
-    Only the distinct values are checked for NaN and sorted.
+    Only the distinct values (core.distinct) are sorted.  Each must then be
+    below the next: a partial order such as subset order on frozensets
+    sorts, but its ranks would not give order types.
     """
+    keys = distinct(values, "op")
     try:
-        distinct = dict.fromkeys(values)  # first-seen order: reproducible errors
-    except TypeError as exc:  # e.g. list values
-        raise TypeError(f"op mode needs hashable values: {exc}") from None
-    if has_nan(distinct):
-        raise ValueError("op mode needs totally ordered values; got NaN")
-    try:
-        rank = {v: r for r, v in enumerate(sorted(distinct))}
+        order = sorted(keys)
+        bad = next((pair for pair in zip(order, order[1:]) if not pair[0] < pair[1]), None)
     except TypeError as exc:  # e.g. str next to int
         raise TypeError(f"op mode needs mutually comparable values: {exc}") from None
+    if bad:
+        raise TypeError("op mode needs totally ordered values: %r < %r is false" % bad)
+    rank = {v: r for r, v in enumerate(order)}
     return np.array([rank[v] for v in values], dtype=np.int64)
 
 
@@ -213,22 +217,12 @@ def op_lcs_kplus_length(x, y, k: int) -> int:
     Rows run over the longer sequence, so that they span the shorter one:
     beside the window ids, the sweep keeps O(k) score and mask rows.
     """
-    k = check_k(k, "op")
-    xs, ys = as_items(x), as_items(y)
-    if len(xs) < len(ys):
-        xs, ys = ys, xs  # order-isomorphism is symmetric
-    x_ids, y_ids = _window_ids(xs, ys, k)
-    return _sweep(x_ids, y_ids, k) if len(ys) >= k else 0
+    return MODE.solve(x, y, k)
 
 
 def op_lcs_kplus_state(x, y, k: int) -> OpDpState:
     """Run the sweep retaining everything op_traceback needs."""
-    k = check_k(k, "op")
-    xs, ys = as_items(x), as_items(y)
-    x_ids, y_ids = _window_ids(xs, ys, k)
-    scores = zeros_table(len(xs) + 1, len(ys) + 1, table_dtype(2 * k * (2 * k - 1)))
-    length = _sweep(x_ids, y_ids, k, scores) if min(len(xs), len(ys)) >= k else 0
-    return OpDpState(k=k, length=length, scores=scores, x_ids=x_ids, y_ids=y_ids)
+    return MODE.solve(x, y, k, witness=True)
 
 
 class _Scores:
@@ -273,3 +267,7 @@ def op_traceback(state: OpDpState) -> ChunkAlignment:
             w += 1
 
     return walk_chunks(scores, k, chunk_lengths)
+
+
+MODE = Mode("op", _window_ids, _sweep, table_bound=lambda k: 2 * k * (2 * k - 1),
+            state=OpDpState, walk=lambda state, x, y, k: op_traceback(state))

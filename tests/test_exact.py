@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from lcsk.core import Params, validate_alignment, walk_chunks
 from lcsk.exact import (
     DpTables,
-    _encode,
     _sweep,
     _window_ids,
     chunk_max_table,
@@ -45,9 +44,8 @@ def _run_walk(xs, ys, k):
 
 def _int32_grid(xs, ys, k):
     """The int32 score grid from _sweep's row differences, kept in int32."""
-    xa, ya = _encode(tuple(xs), tuple(ys))
-    diffs = np.zeros((len(xa) + 1, len(ya) + 1), dtype=np.int32)
-    _sweep(*_window_ids(xa, ya, k), k, diffs)
+    diffs = np.zeros((len(xs) + 1, len(ys) + 1), dtype=np.int32)
+    _sweep(*_window_ids(tuple(xs), tuple(ys), k), k, diffs)
     return np.cumsum(diffs, axis=1, dtype=np.int32)
 
 
@@ -153,8 +151,7 @@ class TestAgainstOracle:
     def test_vector_and_cell_routes_agree(self, xs, ys, k):
         # the cubic oracle is the per-cell reference for the numpy row loop
         assume(min(len(xs), len(ys)) >= k)
-        xa, ya = _encode(tuple(xs), tuple(ys))
-        assert _sweep(*_window_ids(xa, ya, k), k) == naive_lcs_kplus(xs, ys, k)
+        assert _sweep(*_window_ids(tuple(xs), tuple(ys), k), k) == naive_lcs_kplus(xs, ys, k)
 
     def test_routes_agree_when_window_ids_are_reranked(self):
         # 64 symbols and k >= 11 push the window ids past int64, so the row
@@ -167,9 +164,8 @@ class TestAgainstOracle:
                 start = rng.randrange(len(x))
                 seg = x[start : start + rng.randint(k, 2 * k)]
                 y[: len(seg)] = seg
-                xa, ya = _encode(tuple(x), tuple(y))
                 expected = naive_lcs_kplus(x, y, k)
-                assert _sweep(*_window_ids(xa, ya, k), k) == expected
+                assert _sweep(*_window_ids(tuple(x), tuple(y), k), k) == expected
                 assert compute_tables(x, y, k).lengths[-1, -1] == expected
 
 

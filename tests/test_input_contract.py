@@ -21,6 +21,13 @@ OP = (op_lcs_kplus_length, op_lcs_kplus_state)
 ints = st.lists(st.integers(-5, 5), max_size=10)
 nans = st.sampled_from([math.nan, float("nan"), np.nan, np.float64("nan"), np.float32("nan")])
 unhashables = st.sampled_from([[1], {}, {1}, bytearray(b"a")])
+# containers that compare their items by identity first
+CONTAINERS = {
+    None: lambda v: v,
+    "tuple": lambda v: (0, v),
+    "frozenset": lambda v: frozenset({0, v}),
+    "tuple in frozenset": lambda v: frozenset({(0, v)}),
+}
 
 
 def insert(seq: list, pos: int, value) -> list:
@@ -30,12 +37,13 @@ def insert(seq: list, pos: int, value) -> list:
 
 @pytest.mark.parametrize("solve", EXACT + OP)
 class TestLibraryRejections:
-    @given(x=ints, y=ints, pos=st.integers(0, 10), nan=nans, in_tuple=st.booleans(), swap=st.booleans())
+    @given(x=ints, y=ints, pos=st.integers(0, 10), nan=nans, container=st.sampled_from(list(CONTAINERS)),
+           swap=st.booleans())
     @settings(max_examples=25)
-    def test_nan(self, solve, x, y, pos, nan, in_tuple, swap):
-        if in_tuple:  # tuple symbols compare items by identity first
-            x, y, nan = [(v,) for v in x], [(v,) for v in y], (0, nan)
-        x = insert(x, pos, nan)
+    def test_nan(self, solve, x, y, pos, nan, container, swap):
+        wrap = CONTAINERS[container]
+        x, y = [wrap(v) for v in x], [wrap(v) for v in y]
+        x = insert(x, pos, wrap(nan))
         if swap:
             x, y = y, x
         with pytest.raises(ValueError, match="got NaN"):
@@ -44,7 +52,8 @@ class TestLibraryRejections:
     @given(x=ints, y=ints, pos=st.integers(0, 10), bad=unhashables)
     @settings(max_examples=25)
     def test_unhashable_symbols(self, solve, x, y, pos, bad):
-        with pytest.raises(TypeError, match="hashable"):
+        message = "op mode needs hashable values: " if solve in OP else "exact mode needs hashable symbols: "
+        with pytest.raises(TypeError, match="^" + message):
             solve(insert(x, pos, bad), y, 2)
 
     @given(a=arrays(np.int64, array_shapes(min_dims=0, max_dims=3).filter(lambda s: len(s) != 1)),
@@ -75,13 +84,27 @@ class TestMixedTypes:
             with pytest.raises(TypeError, match="op mode needs mutually comparable values"):
                 solve(x, y, 2)
 
-    @given(x=ints, y=ints, pos=st.integers(0, 10), bad=st.sampled_from(["a", None, b"b", 1j]),
-           k=st.integers(1, 3))
+    @given(x=ints, y=ints, pos=st.integers(0, 10),
+           bad=st.sampled_from(["a", None, b"b", 1j, frozenset({1})]), k=st.integers(1, 3))
     @settings(max_examples=40)
     def test_exact_needs_no_order(self, x, y, pos, bad, k):
         # exact mode only compares symbols for equality
         x, y = insert(x, pos, bad), insert(y, pos, bad)
         assert lcs_kplus_length(x, y, k) == naive_lcs_kplus(tuple(x), tuple(y), k)
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_op_rejects_values_that_are_not_totally_ordered(self, k):
+        # subset order sorts these values, but {1} and {2} are incomparable
+        x = [frozenset({1}), frozenset({2}), frozenset({1, 2})]
+        y = [frozenset({2}), frozenset({1}), frozenset({1, 2})]
+        for solve in OP:
+            with pytest.raises(TypeError, match="^op mode needs totally ordered values: "):
+                solve(x, y, k)
+
+    def test_a_chain_is_totally_ordered(self):
+        chain = [frozenset(range(v)) for v in (3, 1, 2, 4, 0)]
+        ranks = [3, 1, 2, 4, 0]
+        assert op_lcs_kplus_length(chain, chain[1:], 2) == op_lcs_kplus_length(ranks, ranks[1:], 2) == 4
 
 
 class TestKAboveBothLengths:
