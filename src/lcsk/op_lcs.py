@@ -29,7 +29,11 @@ Rows are swept in blocks of k.  A chunk of length >= k that ends in rows
 i..i+k-1 starts before row i, so every chunk candidate of a block reads
 finished rows: C[i-w, j-w] + w where the ids of length w match, for all
 w at once.  The block then takes the max over w, the max with the row
-above and the running max along j.
+above and the running max along j.  The rows, masks and candidates of
+the sweep are in the narrowest dtype that holds min(m, n), the largest
+score (uint8 up to 255, uint16 up to 65535, int32 above): a candidate
+whose windows match is at most min(i, j), and one whose windows differ
+is cleared by its 0 mask even if it wrapped around.
 
 The witness state keeps C modulo 2^8 (k <= 8), 2^16 (k <= 128) or
 exactly in int32 (larger k): the smallest dtype that holds 2k(2k-1).
@@ -46,10 +50,11 @@ MODE.solve (see core.Mode) drives both entry points: window ids, the
 sweep, and the score table when a witness is asked for.
 
 Cost: O(k * mn) element operations in O(m) numpy calls, plus O((m+n) * k)
-element operations and 2k-2 sorts of m+n ids for the window ids.  The
-paper's k-independent O(mn) bound, from an op-LCE table and window maxima,
-stays with the reference modules order_iso and rmq; the solver calls
-neither.
+element operations for the window ids, with a sort of m+n ids each time
+their range passes 2^31 (none for k <= 5).  The ids are skipped when
+min(m, n) < k.  The paper's k-independent O(mn) bound, from an op-LCE
+table and window maxima, stays with the reference modules order_iso and
+rmq; the solver calls neither.
 """
 
 from __future__ import annotations
@@ -59,7 +64,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from .core import ChunkAlignment, Mode, distinct, walk_chunks
+from .core import ChunkAlignment, Mode, distinct, table_dtype, walk_chunks
 
 # A group of row blocks shares one window-id comparison and one slide of
 # the row buffer.  A block's masks take k entries per row and column;
@@ -88,14 +93,15 @@ class OpDpState:
 
     x_ids[w-k, i] is the order-type id of the length-w window of x ending
     at x_i, for w in [k, 2k-1]; y_ids likewise.  Windows that do not fit
-    get -1 in x_ids and -2 in y_ids, so they match nothing.
+    get -1 in x_ids and -2 in y_ids, so they match nothing.  When
+    min(m, n) < k no chunk fits, and both have no rows.
     """
 
     k: int
     length: int
     scores: np.ndarray  # (m+1) x (n+1), C modulo 2^bits
-    x_ids: np.ndarray  # k x (m+1) int32
-    y_ids: np.ndarray  # k x (n+1) int32
+    x_ids: np.ndarray  # k x (m+1) int32, or 0 x (m+1)
+    y_ids: np.ndarray  # k x (n+1) int32, or 0 x (n+1)
 
     @property
     def lengths(self) -> np.ndarray:
@@ -134,23 +140,31 @@ def _window_ids(xs: tuple, ys: tuple, k: int):
     Returns x_ids, y_ids as described on OpDpState.  The type of the
     length-w window ending at e is the type of the length-(w-1) window
     ending at e-1 plus the place of the value at e among that window's
-    values: how many are smaller and whether one is equal.  Both grow by
-    one comparison per w.  Ids are re-ranked with np.unique after each w,
-    so they stay below m+n.
+    values: how many are smaller (0..w-1) and whether one is equal.  Both
+    grow by one comparison per w, and id * 2w + 2 * below + equal is again
+    one id per type.  The id range grows 2w-fold per w; ids are re-ranked
+    with np.unique only once it reaches 2^31, so they fit in int32 (never
+    at k <= 5).
     """
     m, n = len(xs), len(ys)
     r = _ranks(xs + ys)
+    if min(m, n) < k:  # no chunk fits: the sweep, the walk and the grids read no ids
+        return np.empty((0, m + 1), dtype=np.int32), np.empty((0, n + 1), dtype=np.int32)
     ids = np.zeros(m + n, dtype=np.int64)  # length 1: one type
     below = np.zeros(m + n, dtype=np.int64)
     equal = np.zeros(m + n, dtype=bool)
     x_ids = np.full((k, m + 1), -1, dtype=np.int32)
     y_ids = np.full((k, n + 1), -2, dtype=np.int32)
+    span = 1  # ids lie in [0, span)
     for w in range(2, 2 * k):
         d = w - 1  # the window ending at e gains the value at e - d
         below[d:] += r[:-d] < r[d:]
         equal[d:] |= r[:-d] == r[d:]
-        code = ids[d - 1 : -1] * (2 * w) + 2 * below[d:] + equal[d:]
-        ids[d:] = np.unique(code, return_inverse=True)[1]
+        ids[d:] = ids[d - 1 : -1] * (2 * w) + 2 * below[d:] + equal[d:]
+        span *= 2 * w
+        if span >= 1 << 31:
+            unique, ids[d:] = np.unique(ids[d:], return_inverse=True)
+            span = len(unique)
         if w >= k:  # windows across the x|y seam get ids too, but are never read
             x_ids[w - k, w:] = ids[w - 1 : m]
             y_ids[w - k, w:] = ids[m + w - 1 :]
@@ -167,8 +181,12 @@ def _sweep(x_ids: np.ndarray, y_ids: np.ndarray, k: int, table=None) -> int:
     t = 2k + g*height, diag[g, w-k, r, j-k] is buffer[t+r-w, j-w], that is
     C[i-w, j-w] for the columns j >= k a chunk can end in.  Columns j < w
     read the tail of the row above, but y_ids has -2 there, so they never
-    match.  Each group compares window ids once, into one 0/1 int32 mask
-    per block.
+    match.  Each group compares window ids once, into one 0/1 mask per
+    block.  The buffer, the masks and the candidates C[i-w, j-w] + w share
+    table_dtype(min(m, n)): a score is at most min(m, n), and so is an
+    unmasked candidate, at most min(i, j); a masked one may wrap around
+    (so may w itself past min(m, n), where no window fits), but its mask
+    clears it.  Each block position's views are built once.
     """
     m, n = x_ids.shape[1] - 1, y_ids.shape[1] - 1
     cols = n + 1 - k
@@ -181,26 +199,30 @@ def _sweep(x_ids: np.ndarray, y_ids: np.ndarray, k: int, table=None) -> int:
     # xb[b, w-k, r, 0] is the id of the length-w window ending at row k + b*height + r
     xb = xg[:, k:].reshape(k, padded, height, 1).transpose(1, 0, 2, 3)
     yg = y_ids[:, None, k:]
-    buf = np.zeros((top + group * height, n + 1), dtype=np.int32)  # rows below k score 0
-    hit = np.empty((group, k, height, cols), dtype=np.int32)
-    cand = np.empty(hit.shape[1:], dtype=np.int32)
-    plus_w = np.arange(k, 2 * k, dtype=np.int32)[:, None, None]
+    dtype = table_dtype(min(m, n))
+    buf = np.zeros((top + group * height, n + 1), dtype=dtype)  # rows below k score 0
+    hit = np.empty((group, k, height, cols), dtype=dtype)
+    cand = np.empty(hit.shape[1:], dtype=dtype)
+    plus_w = np.arange(k, 2 * k).astype(dtype)[:, None, None]
     s0, s1 = buf.strides
     strides = (height * s0, -s0 - s1, s0, s1)
     diag = as_strided(buf[top - k :], hit.shape, strides, writeable=False)
     block, flat = buf[top:].reshape(group, height, n + 1), buf.reshape(-1)
+    views = [(diag[g], hit[g], block[g, :, k:], block[g],
+              [(buf[r], buf[r - 1]) for r in range(top + g * height, top + (g + 1) * height)])
+             for g in range(group)]
     bufsize = np.setbufsize(_BUFSIZE)
     try:
         for b in range(0, blocks, group):
             count = min(group, blocks - b)
             np.equal(xb[b : b + group], yg, out=hit)
-            for g in range(count):
-                np.add(diag[g], plus_w, out=cand)
-                np.multiply(cand, hit[g], out=cand)
-                np.maximum.reduce(cand, axis=0, out=block[g, :, k:])
-                for r in range(top + g * height, top + (g + 1) * height):
-                    np.maximum(buf[r], buf[r - 1], out=buf[r])  # max with the row above
-                np.maximum.accumulate(block[g], axis=1, out=block[g])
+            for diag_g, hit_g, chunks, block_g, above in views[:count]:
+                np.add(diag_g, plus_w, out=cand)
+                np.multiply(cand, hit_g, out=cand)
+                np.maximum.reduce(cand, axis=0, out=chunks)
+                for row, up in above:
+                    np.maximum(row, up, out=row)  # max with the row above
+                np.maximum.accumulate(block_g, axis=1, out=block_g)
             i, end = k + b * height, top + count * height
             done = buf[top : min(end, top + m + 1 - i)]
             if table is not None:
@@ -215,7 +237,8 @@ def op_lcs_kplus_length(x, y, k: int) -> int:
     """op-LCS_{k+} length in O(k * (m + n)) memory.
 
     Rows run over the longer sequence, so that they span the shorter one:
-    beside the window ids, the sweep keeps O(k) score and mask rows.
+    beside the window ids, the sweep keeps O(k) score and mask rows, in
+    the narrowest dtype that holds min(m, n).
     """
     return MODE.solve(x, y, k)
 

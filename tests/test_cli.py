@@ -289,6 +289,21 @@ class TestOp(BothModes):
         code, out, _ = run(capsys, ["op", x, y, "--k", "2", "--dump-tables"])
         assert code == 0 and "C:" in out
 
+    def test_k_beyond_both_lengths(self, files, capsys):
+        # no chunk fits: no window ids, an empty witness and a zero grid
+        x, y = files("x", "3 1 2"), files("y", "1 2")
+        code, out, _ = run(capsys, ["op", x, y, "--k", str(10**6), "--chunks", "--dump-tables"])
+        assert code == 0 and out == """\
+0
+{"total":0,"chunks":[]}
+C:
+    -  1  2
+ -  0  0  0
+ 3  0  0  0
+ 1  0  0  0
+ 2  0  0  0
+"""
+
     def test_chunks_golden(self, files, capsys):
         x, y = files("x", OP_X), files("y", OP_Y)
         code, out, _ = run(capsys, ["op", x, y, "--k", "3", "--chunks"])

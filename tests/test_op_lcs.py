@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import lcsk.op_lcs
-from lcsk.core import Params, validate_alignment, walk_chunks
+from lcsk.core import Params, table_dtype, validate_alignment, walk_chunks
 from lcsk.op_lcs import OpDpState, op_lcs_kplus_length, op_lcs_kplus_state, op_traceback
 from lcsk.oracles import naive_op_lcs_kplus
 from lcsk.order_iso import build_oplce_table
@@ -262,6 +262,46 @@ class TestState:
             tracemalloc.stop()
         assert peak < 12 * 2**20
 
+    def test_length_peak_per_cell(self):
+        # the benchmark's 150 x 150 memory pair: with min(m, n) <= 255 the
+        # sweep's rows, masks and candidates are uint8 (int32: 4.02 B/cell)
+        rng = np.random.default_rng(150)
+        x, y = rng.integers(1, 1001, 150).tolist(), rng.integers(1, 1001, 150).tolist()
+        tracemalloc.start()
+        try:
+            op_lcs_kplus_length(x, y, 3)
+            peak = tracemalloc.get_traced_memory()[1] / (150 * 150)
+        finally:
+            tracemalloc.stop()
+        assert peak < 3
+
+    @pytest.mark.parametrize("xs, ys, k", [
+        ((1, 2, 3), (1, 2, 3), 10**6),
+        ((5, 1), (2, 7, 1, 8), 10**6),
+        ((), (4,), 10**6),
+        ((1, 2, 3), tuple(range(20)), 5),
+    ])
+    def test_k_beyond_an_input(self, xs, ys, k):
+        # no chunk fits, so the ids have no rows, whatever k
+        tracemalloc.start()
+        try:
+            length = op_lcs_kplus_length(xs, ys, k)
+            state = op_lcs_kplus_state(xs, ys, k)
+            a = op_traceback(state)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert length == state.length == a.total == 0 and a.chunks == ()
+        assert state.x_ids.shape == (0, len(xs) + 1) and state.y_ids.shape == (0, len(ys) + 1)
+        assert not state.lengths.any()
+        assert peak < 2**16
+
+    def test_k_beyond_an_input_still_checks_values(self):
+        with pytest.raises(TypeError, match="mutually comparable"):
+            op_lcs_kplus_length((1, "a"), (2,), 10**6)
+        with pytest.raises(ValueError, match="NaN"):
+            op_lcs_kplus_state((1.0,), (float("nan"),), 10**6)
+
     def test_degenerate_state(self):
         for xs, ys in (((1,), (2, 3)), ((1, 2, 3), (2,)), ((), ())):
             state = op_lcs_kplus_state(xs, ys, 2)
@@ -339,6 +379,45 @@ class TestTraceback:
         want = uncapped_scores(xs, ys, k)
         assert np.array_equal(state.lengths, want)
         assert state.length == int(want[-1, -1]) > 255  # uint8 scores wrap at k=8
+        a = op_traceback(state)
+        assert a == int32_walk(state, want)
+        assert validate_alignment(xs, ys, Params(k=k, mode="op"), a)
+
+    @pytest.mark.parametrize("size, dtype", [(255, np.uint8), (256, np.uint16)])
+    def test_sweep_dtype_switch_points(self, monkeypatch, size, dtype):
+        # the sweep keeps scores in table_dtype(min(m, n)); against the 3v+7
+        # image of its first min(m, n) values the total is min(m, n) itself
+        seen = []
+
+        def spy(bound):
+            seen.append(table_dtype(bound))
+            return seen[-1]
+
+        monkeypatch.setattr(lcsk.op_lcs, "table_dtype", spy)
+        xs = run_heavy(random.Random(size), size + 40)
+        ys = tuple(3 * v + 7 for v in xs[:size])
+        assert op_lcs_kplus_length(xs, ys, 3) == size
+        assert op_lcs_kplus_length(ys, xs, 3) == size
+        state = op_lcs_kplus_state(xs, ys, 3)
+        assert state.length == size and seen == [dtype] * 3
+        want = int32_scores(xs, ys, 3)
+        assert np.array_equal(state.lengths, want)
+        a = op_traceback(state)
+        assert a == int32_walk(state, want) and a.total == size
+        assert validate_alignment(xs, ys, Params(k=3, mode="op"), a)
+
+    @pytest.mark.parametrize("k, size, table", [(9, 255, np.uint16), (3, 256, np.uint8)])
+    def test_sweep_and_table_dtypes_differ(self, k, size, table):
+        # k=9, min(m, n)=255: uint8 rows copied into a uint16 table; k=3,
+        # min(m, n)=256: uint16 rows stored modulo 2^8
+        rng = random.Random(k * size)
+        xs = run_heavy(rng, 300)
+        ys = tuple(2 * v - 3 for v in xs[: size // 2]) + planted_pair(rng, xs, size - size // 2, k)
+        state = op_lcs_kplus_state(xs, ys, k)
+        assert state.scores.dtype == table
+        want = int32_scores(xs, ys, k)
+        assert np.array_equal(state.lengths, want)
+        assert state.length == int(want[-1, -1]) == op_lcs_kplus_length(xs, ys, k)
         a = op_traceback(state)
         assert a == int32_walk(state, want)
         assert validate_alignment(xs, ys, Params(k=k, mode="op"), a)
