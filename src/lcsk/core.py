@@ -187,6 +187,9 @@ class Mode:
     table) returns C[m, n] and fills ``table``, whose cells hold values
     up to table_bound(k), unless it is None; walk(state, x, y, k) reads
     state(k, length, table, x_ids, y_ids) back into a ChunkAlignment.
+    rows_over_longer says which input the length path's rows run over:
+    the longer one, so that its row buffers span the shorter, or the
+    shorter one, for fewer and wider numpy calls.
     """
 
     name: str
@@ -195,19 +198,23 @@ class Mode:
     table_bound: Callable
     state: Callable
     walk: Callable
+    rows_over_longer: bool
 
     def solve(self, x, y, k, witness: bool = False):
         """C[m, n], or with ``witness`` the state walk reads.  The length
-        path keeps no table, and its rows span the shorter input."""
+        path keeps no table, and runs its rows over the longer input if
+        rows_over_longer, else over the shorter; the witness path's rows
+        run over x."""
         k = check_k(k, self.name)
         xs, ys = as_items(x), as_items(y)
-        if not witness and len(xs) < len(ys):
+        m, n = len(xs), len(ys)
+        if not witness and (n > m if self.rows_over_longer else m > n):
             xs, ys = ys, xs  # both problems are symmetric
         x_ids, y_ids = self.window_ids(xs, ys, k)
         table = None
         if witness:  # rows below k and column 0 score 0
-            table = zeros_table(len(xs) + 1, len(ys) + 1, table_dtype(self.table_bound(k)))
-        length = self.sweep(x_ids, y_ids, k, table) if min(len(xs), len(ys)) >= k else 0
+            table = zeros_table(m + 1, n + 1, table_dtype(self.table_bound(k)))
+        length = self.sweep(x_ids, y_ids, k, table) if min(m, n) >= k else 0
         return self.state(k, length, table, x_ids, y_ids) if witness else length
 
 

@@ -284,4 +284,4 @@ def traceback(tables: DpTables, x, y, k: int) -> ChunkAlignment:
 
 MODE = Mode("exact", _window_ids, _sweep, table_bound=lambda k: k,
             state=lambda k, length, diffs, x_ids, y_ids: DpTables(diffs, x_ids, y_ids, length),
-            walk=traceback)
+            walk=traceback, rows_over_longer=True)

@@ -49,12 +49,15 @@ s - ((s - stored) mod 2^bits).
 MODE.solve (see core.Mode) drives both entry points: window ids, the
 sweep, and the score table when a witness is asked for.
 
-Cost: O(k * mn) element operations in O(m) numpy calls, plus O((m+n) * k)
-element operations for the window ids, with a sort of m+n ids each time
-their range passes 2^31 (none for k <= 5).  The ids are skipped when
-min(m, n) < k.  The paper's k-independent O(mn) bound, from an op-LCE
-table and window maxima, stays with the reference modules order_iso and
-rmq; the solver calls neither.
+Cost: O(k * mn) element operations in O(m/k) blocks of a few numpy calls
+each, plus O((m+n) * k) element operations for the window ids, with a
+sort of m+n ids each time their range passes 2^31 (none for k <= 5).
+The ids are skipped when min(m, n) < k.  On short inputs the block count,
+not the cell count, sets the time, so the length path runs its rows over
+the shorter input (MODE.rows_over_longer is False): its ids already take
+O(k * (m+n)) memory, and the mask group stays capped.  The paper's
+k-independent O(mn) bound, from an op-LCE table and window maxima, stays
+with the reference modules order_iso and rmq; the solver calls neither.
 """
 
 from __future__ import annotations
@@ -77,6 +80,10 @@ _MASK_ELEMENTS = 1 << 18
 # element on rows of 2000 columns as on rows of 4000; at 2048 both ran at
 # the faster rate, and the strided sums got faster on the shorter rows too.
 _BUFSIZE = 2048
+# _window_ids re-ranks its int64 ids once their range reaches this, and
+# stores them in int32 only after checking that they fit.
+_RERANK_AT = 1 << 31
+_INT32_MAX = np.iinfo(np.int32).max
 
 
 @dataclass(frozen=True)
@@ -118,10 +125,17 @@ class OpDpState:
 def _ranks(values: tuple) -> np.ndarray:
     """Dense ranks of hashable, totally ordered, NaN-free values.
 
-    Only the distinct values (core.distinct) are sorted.  Each must then be
-    below the next: a partial order such as subset order on frozensets
-    sorts, but its ranks would not give order types.
+    Values that are all of type int and fit in int64 are ranked by one
+    np.unique: ints need no NaN or order check.  Otherwise only the
+    distinct values (core.distinct) are sorted.  Each must then be below
+    the next: a partial order such as subset order on frozensets sorts,
+    but its ranks would not give order types.
     """
+    if set(map(type, values)) == {int}:  # not bool, not an int subclass
+        try:
+            return np.unique(np.array(values, dtype=np.int64), return_inverse=True)[1]
+        except OverflowError:  # beyond int64
+            pass
     keys = distinct(values, "op")
     try:
         order = sorted(keys)
@@ -143,8 +157,8 @@ def _window_ids(xs: tuple, ys: tuple, k: int):
     values: how many are smaller (0..w-1) and whether one is equal.  Both
     grow by one comparison per w, and id * 2w + 2 * below + equal is again
     one id per type.  The id range grows 2w-fold per w; ids are re-ranked
-    with np.unique only once it reaches 2^31, so they fit in int32 (never
-    at k <= 5).
+    with np.unique only once it reaches _RERANK_AT = 2^31, so they fit in
+    int32 (never at k <= 5), which the store checks.
     """
     m, n = len(xs), len(ys)
     r = _ranks(xs + ys)
@@ -162,10 +176,12 @@ def _window_ids(xs: tuple, ys: tuple, k: int):
         equal[d:] |= r[:-d] == r[d:]
         ids[d:] = ids[d - 1 : -1] * (2 * w) + 2 * below[d:] + equal[d:]
         span *= 2 * w
-        if span >= 1 << 31:
+        if span >= _RERANK_AT:
             unique, ids[d:] = np.unique(ids[d:], return_inverse=True)
             span = len(unique)
         if w >= k:  # windows across the x|y seam get ids too, but are never read
+            if ids[w - 1 :].max() > _INT32_MAX:  # a slice store would wrap
+                raise OverflowError(f"op window ids of length {w} do not fit in int32")
             x_ids[w - k, w:] = ids[w - 1 : m]
             y_ids[w - k, w:] = ids[m + w - 1 :]
     return x_ids, y_ids
@@ -236,9 +252,10 @@ def _sweep(x_ids: np.ndarray, y_ids: np.ndarray, k: int, table=None) -> int:
 def op_lcs_kplus_length(x, y, k: int) -> int:
     """op-LCS_{k+} length in O(k * (m + n)) memory.
 
-    Rows run over the longer sequence, so that they span the shorter one:
-    beside the window ids, the sweep keeps O(k) score and mask rows, in
-    the narrowest dtype that holds min(m, n).
+    Rows run over the shorter sequence, so that there are fewer blocks of
+    wider numpy calls: beside the window ids, the sweep keeps O(k) score
+    rows over the longer one and a mask group of at most _MASK_ELEMENTS
+    entries, in the narrowest dtype that holds min(m, n).
     """
     return MODE.solve(x, y, k)
 
@@ -293,4 +310,5 @@ def op_traceback(state: OpDpState) -> ChunkAlignment:
 
 
 MODE = Mode("op", _window_ids, _sweep, table_bound=lambda k: 2 * k * (2 * k - 1),
-            state=OpDpState, walk=lambda state, x, y, k: op_traceback(state))
+            state=OpDpState, walk=lambda state, x, y, k: op_traceback(state),
+            rows_over_longer=False)

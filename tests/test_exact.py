@@ -4,7 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lcsk.core import Params, validate_alignment, walk_chunks
@@ -147,10 +147,11 @@ class TestAgainstOracle:
         full = int(compute_tables(xs, ys, k).lengths[-1, -1])
         assert lcs_kplus_length(xs, ys, k) == full
 
-    @given(seqs, seqs, st.integers(1, 6))
-    def test_vector_and_cell_routes_agree(self, xs, ys, k):
-        # the cubic oracle is the per-cell reference for the numpy row loop
-        assume(min(len(xs), len(ys)) >= k)
+    @given(st.integers(1, 6), st.data())
+    def test_vector_and_cell_routes_agree(self, k, data):
+        # the cubic oracle is the per-cell reference for the numpy row loop,
+        # which runs only when both inputs hold at least k symbols
+        xs, ys = (data.draw(st.lists(symbols, min_size=k, max_size=24).map(tuple)) for _ in "xy")
         assert _sweep(*_window_ids(tuple(xs), tuple(ys), k), k) == naive_lcs_kplus(xs, ys, k)
 
     def test_routes_agree_when_window_ids_are_reranked(self):

@@ -452,3 +452,137 @@ class TestTraceback:
         assert np.array_equal(wrapped.lengths, want)
         a, ref = op_traceback(wrapped), int32_walk(state, want)
         assert a.chunks == ref.chunks and a.total == ref.total + shift
+
+
+class TestOrientation:
+    @staticmethod
+    def spy_sweep(monkeypatch):
+        # MODE holds the sweep it calls, so the spy goes into a copy of MODE
+        shapes = []
+
+        def spy(x_ids, y_ids, k, table=None):
+            shapes.append((x_ids.shape[1] - 1, y_ids.shape[1] - 1))
+            return lcsk.op_lcs._sweep(x_ids, y_ids, k, table)
+
+        monkeypatch.setattr(lcsk.op_lcs, "MODE", dataclasses.replace(lcsk.op_lcs.MODE, sweep=spy))
+        return shapes
+
+    def test_length_rows_run_over_the_shorter_input(self, monkeypatch):
+        shapes = self.spy_sweep(monkeypatch)
+        rng = random.Random(3)
+        xs = run_heavy(rng, 12)
+        ys = planted_pair(rng, xs, 40, 3)
+        a, b = op_lcs_kplus_length(xs, ys, 3), op_lcs_kplus_length(ys, xs, 3)
+        assert shapes == [(12, 40), (12, 40)]
+        c, d = op_lcs_kplus_state(xs, ys, 3), op_lcs_kplus_state(ys, xs, 3)
+        assert shapes[2:] == [(12, 40), (40, 12)]  # the witness path's rows run over x
+        assert a == b == c.length == d.length == naive_op_lcs_kplus(xs, ys, 3) > 0
+
+    def test_equal_lengths_keep_the_argument_order(self, monkeypatch):
+        shapes = self.spy_sweep(monkeypatch)
+        op_lcs_kplus_length(EX_X, EX_Y, 3)
+        assert shapes == [(len(EX_X), len(EX_Y))]
+
+    @pytest.mark.parametrize("short", [255, 256])
+    @pytest.mark.parametrize("k", [2, 3, 9])
+    def test_skewed_pairs_in_both_orders(self, short, k):
+        # min(m, n) sets the sweep's dtype: uint8 at 255, uint16 at 256
+        rng = random.Random(short * k)
+        for idx in range(3):
+            if idx == 0:  # run-heavy against a planted copy
+                xs = run_heavy(rng, 3000)
+                ys = planted_pair(rng, xs, short, k)
+            elif idx == 1:  # the 3v+7 image of a run series: total = short
+                xs = run_heavy(rng, 2500)
+                ys = tuple(3 * v + 7 for v in xs[:short])
+            else:
+                xs = tuple(rng.randint(1, 1000) for _ in range(4000))
+                ys = tuple(rng.randint(1, 1000) for _ in range(short))
+            state = op_lcs_kplus_state(xs, ys, k)
+            assert op_lcs_kplus_length(xs, ys, k) == op_lcs_kplus_length(ys, xs, k) == state.length
+            if idx == 1:
+                assert state.length == short
+            if idx == 0 and k == 3:
+                want = int32_scores(xs, ys, k)
+                assert np.array_equal(state.lengths, want)
+                assert op_traceback(state) == int32_walk(state, want)
+
+    @pytest.mark.parametrize("short", [255, 256])
+    def test_k_above_the_shorter_input(self, short):
+        xs = run_heavy(random.Random(short), 1500)
+        ys = tuple(2 * v for v in xs[:short])
+        for k in (short, short + 1):
+            want = short if k == short else 0
+            assert op_lcs_kplus_length(xs, ys, k) == op_lcs_kplus_length(ys, xs, k) == want
+
+    def test_length_peak_on_a_skewed_pair(self):
+        # rows over the 40 values, each 20000 columns wide: beside O(m + n)
+        # ranks and ids, the sweep holds O(k) rows and a mask group that
+        # stays within _MASK_ELEMENTS entries (about 1.4 MB here)
+        m, n, k = 40, 20000, 3
+        rng = np.random.default_rng(40)
+        x, y = rng.integers(1, 1001, m).tolist(), rng.integers(1, 1001, n).tolist()
+        for args in ((x, y), (y, x)):
+            tracemalloc.start()
+            try:
+                op_lcs_kplus_length(*args, k)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 24 * k * (m + n) + lcsk.op_lcs._MASK_ELEMENTS
+
+
+class _Int(int):
+    """An int subclass: ordered as int, but ranked on the general path."""
+
+
+class TestRanksAndIds:
+    ints = st.one_of(
+        st.integers(-3, 3),
+        st.sampled_from([-2**63, -2**63 + 1, 2**63 - 2, 2**63 - 1]),
+        st.integers(-2**63, 2**63 - 1),
+    )
+
+    @given(st.lists(ints, min_size=1, max_size=40))
+    def test_int_path_gives_the_general_ranks(self, values):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(lcsk.op_lcs, "distinct", lambda *a: pytest.fail("general path"))
+            fast = lcsk.op_lcs._ranks(tuple(values))
+        general = lcsk.op_lcs._ranks(tuple(map(_Int, values)))
+        assert fast.dtype == general.dtype == np.int64
+        assert np.array_equal(fast, general)
+        assert np.array_equal(general, [sorted(set(values)).index(v) for v in values])
+
+    @pytest.mark.parametrize("f", [
+        lambda v: v + 2**63,  # beyond int64
+        lambda v: -v - 2**63 - 1,
+        lambda v: v % 2 == 1,  # bools
+        lambda v: v if v > 1 else v == 1,  # ints and bools
+    ], ids=["above-int64", "below-int64", "bool", "int-bool-mix"])
+    def test_other_values_take_the_general_path(self, monkeypatch, f):
+        calls = []
+
+        def spy(values, mode):
+            calls.append(mode)
+            return lcsk.core.distinct(values, mode)
+
+        monkeypatch.setattr(lcsk.op_lcs, "distinct", spy)
+        rng = random.Random(63)
+        for _ in range(30):
+            xs = [rng.randint(0, 3) for _ in range(rng.randint(0, 12))] + [rng.randint(0, 1)]
+            ys = [rng.randint(0, 3) for _ in range(rng.randint(0, 12))]
+            k = rng.randint(2, 4)
+            fx, fy = [f(v) for v in xs], [f(v) for v in ys]
+            calls.clear()
+            got = op_lcs_kplus_length(fx, fy, k)
+            assert calls == ["op"]
+            assert got == naive_op_lcs_kplus(tuple(fx), tuple(fy), k)
+
+    def test_id_store_refuses_ids_beyond_int32(self, monkeypatch):
+        # an increasing run of 12 at k=6: the length-11 ids pass 2^31 unless
+        # re-ranked, and a slice store into int32 would wrap them
+        xs = tuple(range(12))
+        assert op_lcs_kplus_length(xs, xs, 6) == 12
+        monkeypatch.setattr(lcsk.op_lcs, "_RERANK_AT", 1 << 62)
+        with pytest.raises(OverflowError, match="length 11 do not fit in int32"):
+            op_lcs_kplus_length(xs, xs, 6)
