@@ -146,31 +146,90 @@ class ChunkAlignment:
         }
 
 
-def walk_chunks(lengths, k: int, chunk_lengths) -> ChunkAlignment:
+@dataclass(frozen=True)
+class DpState:
+    """Witness state for one (x, y, k) instance, in both modes.
+
+    scores[i, j] is C[i, j] modulo 2^bits, in table_dtype(k): uint8 up to
+    k = 255 (one byte per cell), uint16 up to 65535, int32 above.  Walks
+    read it only through score_test, whose equality tests the residue
+    decides (see walk_chunks).  length is the exact C[m, n].  x_ids and
+    y_ids are the mode's window ids, which match where a chunk can end.
+    """
+
+    k: int
+    length: int
+    scores: np.ndarray  # (m+1) x (n+1), C modulo 2^bits
+    x_ids: np.ndarray
+    y_ids: np.ndarray
+
+    @property
+    def lengths(self) -> np.ndarray:
+        """The decoded (m+1) x (n+1) int32 score table, for display and tests.
+        Column 0 scores 0 and row differences lie in [0, k] (see walk_chunks),
+        so the wrapping differences of the residues are the true ones."""
+        lengths = np.zeros(self.scores.shape, dtype=np.int32)
+        np.cumsum(np.diff(self.scores, axis=1), axis=1, dtype=np.int32, out=lengths[:, 1:])
+        return lengths
+
+
+def score_test(scores: np.ndarray) -> Callable:
+    """equals(i, j, s): whether C[i, j] == s, from scores[i, j] = C[i, j]
+    modulo 2^bits of its dtype; walk_chunks says when the residue decides."""
+    mask, item = (1 << 8 * scores.itemsize) - 1, scores.item
+    return lambda i, j, s: (item(i, j) - s) & mask == 0
+
+
+def walk_chunks(scores: np.ndarray, total: int, k: int, chunk_lengths) -> ChunkAlignment:
     """Back-track one optimal chunk decomposition through a score table.
 
-    ``lengths`` is read as lengths[i, j] and needs a ``shape``.
-    ``chunk_lengths(i, j, score)`` gives the mode's candidate lengths of a
-    last chunk ending at (i, j), in its order of preference; the first ln
-    with lengths[i-ln, j-ln] + ln == score is taken.  Otherwise the walk
-    steps left, then up.  The score of the cell it moves to is known, so
-    it reads only candidate, left and upper cells.  Output chunks are
+    ``scores`` holds C modulo 2^bits of its dtype (C itself for an int32
+    grid), and ``total`` is the exact C[m, n].  ``chunk_lengths(i, j,
+    score)`` gives the mode's candidate lengths l of a valid last chunk
+    ending at (i, j), in its order of preference; the first with
+    C[i-l, j-l] + l == score is taken.  Otherwise the walk steps left,
+    then up.  The score of the cell it moves to is known, so every read
+    only asks whether a cell holds a given score.  Output chunks are
     1-based and ordered by position.
+
+    The residue decides each such test while k < 2^bits.  Lemma: C[i, j]
+    - C[i-w, j-w] <= w + k - 1 for every w.  Take an optimal decomposition
+    for (i, j) and keep its chunks up to the first that crosses row i-w or
+    column j-w; cut that chunk to its prefix that fits, and drop the
+    prefix if it is shorter than k.  Both modes allow the cut, since a
+    prefix of an equal or order-isomorphic pair is again one.  Outside the
+    dropped prefix, every lost pair (x, y) has x > i-w or y > j-w, and a
+    pair with only x > i-w cannot coexist with one with only y > j-w, as
+    pairs increase in both coordinates; so at most w pairs are lost, plus
+    fewer than k from the dropped prefix.  Every read of a walk from a cell
+    of known score s is of one of two kinds:
+
+    * a chunk start (i-l, j-l), where a valid chunk of length l ends at
+      (i, j): a decomposition for (i-l, j-l) plus that chunk is one for
+      (i, j), so with the lemma the true value lies in [s-l-(k-1), s-l];
+    * a left or upper neighbour: a decomposition for a shorter prefix is
+      one for the longer, and dropping the last pair of an optimal one's
+      last chunk, or the whole chunk if it is k long, loses at most k, so
+      every row and column difference lies in [0, k] and the true value
+      in [s-k, s].
+
+    Either range holds at most k + 1 <= 2^bits values, so their residues
+    differ.  exact._longest_chunk reads chunk starts of the first kind.
     """
-    m, n = lengths.shape[0] - 1, lengths.shape[1] - 1
+    m, n = scores.shape[0] - 1, scores.shape[1] - 1
+    equals = score_test(scores)
     chunks = []
-    i, j = m, n
-    score = total = int(lengths[m, n])
+    i, j, score = m, n, total
     while i >= k and j >= k and score:
         for ln in chunk_lengths(i, j, score):
-            if int(lengths[i - ln, j - ln]) + ln == score:
+            if equals(i - ln, j - ln, score - ln):
                 chunks.append((i - ln + 1, j - ln + 1, ln))
                 i, j, score = i - ln, j - ln, score - ln
                 break
         else:
-            if int(lengths[i, j - 1]) == score:
+            if equals(i, j - 1, score):
                 j -= 1
-            elif int(lengths[i - 1, j]) == score:
+            elif equals(i - 1, j, score):
                 i -= 1
             else:  # unreachable if the table satisfies its recurrence
                 raise RuntimeError("inconsistent DP table at (%d, %d)" % (i, j))
@@ -184,24 +243,21 @@ class Mode:
 
     window_ids(xs, ys, k) checks the symbols of two tuples and gives ids
     to their windows, equal where a chunk can end; sweep(x_ids, y_ids, k,
-    table) returns C[m, n] and fills ``table``, whose cells hold values
-    up to table_bound(k), unless it is None; walk(state, x, y, k) reads
-    state(k, length, table, x_ids, y_ids) back into a ChunkAlignment.
-    rows_over_longer says which input the length path's rows run over:
-    the longer one, so that its row buffers span the shorter, or the
-    shorter one, for fewer and wider numpy calls.
+    table) returns C[m, n] and fills ``table`` with C modulo 2^bits of
+    its dtype, unless it is None; walk(state, x, y, k) reads a DpState
+    back into a ChunkAlignment.  rows_over_longer says which input the
+    length path's rows run over: the longer one, so that its row buffers
+    span the shorter, or the shorter one, for fewer and wider numpy calls.
     """
 
     name: str
     window_ids: Callable
     sweep: Callable
-    table_bound: Callable
-    state: Callable
     walk: Callable
     rows_over_longer: bool
 
     def solve(self, x, y, k, witness: bool = False):
-        """C[m, n], or with ``witness`` the state walk reads.  The length
+        """C[m, n], or with ``witness`` the DpState walk reads.  The length
         path keeps no table, and runs its rows over the longer input if
         rows_over_longer, else over the shorter; the witness path's rows
         run over x."""
@@ -213,9 +269,9 @@ class Mode:
         x_ids, y_ids = self.window_ids(xs, ys, k)
         table = None
         if witness:  # rows below k and column 0 score 0
-            table = zeros_table(m + 1, n + 1, table_dtype(self.table_bound(k)))
+            table = zeros_table(m + 1, n + 1, table_dtype(k))
         length = self.sweep(x_ids, y_ids, k, table) if min(m, n) >= k else 0
-        return self.state(k, length, table, x_ids, y_ids) if witness else length
+        return DpState(k, length, table, x_ids, y_ids) if witness else length
 
 
 def validate_alignment(x, y, params: Params, alignment: ChunkAlignment) -> bool:

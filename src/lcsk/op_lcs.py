@@ -35,16 +35,10 @@ score (uint8 up to 255, uint16 up to 65535, int32 above): a candidate
 whose windows match is at most min(i, j), and one whose windows differ
 is cleared by its 0 mask even if it wrapped around.
 
-The witness state keeps C modulo 2^8 (k <= 8), 2^16 (k <= 128) or
-exactly in int32 (larger k): the smallest dtype that holds 2k(2k-1).
-Every row and column difference of C lies in [0, k].  A decomposition
-for a shorter prefix is one for the longer, and in an optimal one whose
-last chunk ends at the last position, dropping that chunk's last pair, or
-the whole chunk if it is exactly k long, loses at most k.  The back-track
-reads a cell w <= 2k-1 steps up the diagonal from the cell whose score s
-it knows, w rows and w columns away, or one step left or up, so the score
-read lies in [s - 2k(2k-1), s] and its residue fixes it:
-s - ((s - stored) mod 2^bits).
+The witness state is core.DpState, as in exact mode: C modulo 2^bits in
+core.table_dtype(k), one byte per cell for k <= 255.  The back-track only
+asks whether a chunk start or a neighbour of a cell of known score holds
+a given score, which the residue decides (proof at core.walk_chunks).
 
 MODE.solve (see core.Mode) drives both entry points: window ids, the
 sweep, and the score table when a witness is asked for.
@@ -62,12 +56,10 @@ with the reference modules order_iso and rmq; the solver calls neither.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from .core import ChunkAlignment, Mode, distinct, table_dtype, walk_chunks
+from .core import ChunkAlignment, DpState, Mode, distinct, table_dtype, walk_chunks
 
 # A group of row blocks shares one window-id comparison and one slide of
 # the row buffer.  A block's masks take k entries per row and column;
@@ -86,56 +78,29 @@ _RERANK_AT = 1 << 31
 _INT32_MAX = np.iinfo(np.int32).max
 
 
-@dataclass(frozen=True)
-class OpDpState:
-    """Retained sweep state: the total, the score table modulo 2^bits and
-    window ids.
-
-    scores[i, j] is C[i, j] modulo 2^bits in table_dtype(2k(2k-1)): uint8
-    for k <= 8 (one byte per cell), uint16 for k <= 128, int32 (exact)
-    above.  A walk cell lies within 2k-1 diagonal steps, or one step left
-    or up, of a cell whose score it knows, so its score is at most
-    2k(2k-1) below that one, and the residue fixes it (see the module
-    docstring).  length is the exact C[m, n].
-
-    x_ids[w-k, i] is the order-type id of the length-w window of x ending
-    at x_i, for w in [k, 2k-1]; y_ids likewise.  Windows that do not fit
-    get -1 in x_ids and -2 in y_ids, so they match nothing.  When
-    min(m, n) < k no chunk fits, and both have no rows.
-    """
-
-    k: int
-    length: int
-    scores: np.ndarray  # (m+1) x (n+1), C modulo 2^bits
-    x_ids: np.ndarray  # k x (m+1) int32, or 0 x (m+1)
-    y_ids: np.ndarray  # k x (n+1) int32, or 0 x (n+1)
-
-    @property
-    def lengths(self) -> np.ndarray:
-        """The decoded (m+1) x (n+1) int32 score table, for display and tests.
-
-        Column 0 scores 0 and a row difference lies in [0, k], so the
-        wrapping differences of the residues are the true ones.
-        """
-        lengths = np.zeros(self.scores.shape, dtype=np.int32)
-        np.cumsum(np.diff(self.scores, axis=1), axis=1, dtype=np.int32, out=lengths[:, 1:])
-        return lengths
+OpDpState = DpState  # the witness state, with the ids of _window_ids
 
 
 def _ranks(values: tuple) -> np.ndarray:
     """Dense ranks of hashable, totally ordered, NaN-free values.
 
-    Values that are all of type int and fit in int64 are ranked by one
-    np.unique: ints need no NaN or order check.  Otherwise only the
-    distinct values (core.distinct) are sorted.  Each must then be below
-    the next: a partial order such as subset order on frozensets sorts,
-    but its ranks would not give order types.
+    Values that are all of type int and fit in int64, or all of type
+    float and free of NaN, are ranked by one np.unique: they need no
+    order check, and np.unique merges -0.0 and 0.0 as == does.  Otherwise
+    only the distinct values (core.distinct) are sorted.  Each must then
+    be below the next: a partial order such as subset order on frozensets
+    sorts, but its ranks would not give order types.
     """
-    if set(map(type, values)) == {int}:  # not bool, not an int subclass
+    kinds = set(map(type, values))  # not bool, not an int or float subclass
+    if kinds == {int}:
         try:
             return np.unique(np.array(values, dtype=np.int64), return_inverse=True)[1]
         except OverflowError:  # beyond int64
             pass
+    elif kinds == {float}:
+        floats = np.array(values, dtype=np.float64)
+        if not np.isnan(floats).any():  # NaN: the general path names it
+            return np.unique(floats, return_inverse=True)[1]
     keys = distinct(values, "op")
     try:
         order = sorted(keys)
@@ -151,14 +116,19 @@ def _ranks(values: tuple) -> np.ndarray:
 def _window_ids(xs: tuple, ys: tuple, k: int):
     """Order-type ids of the windows of lengths k..2k-1 of xs and ys.
 
-    Returns x_ids, y_ids as described on OpDpState.  The type of the
-    length-w window ending at e is the type of the length-(w-1) window
-    ending at e-1 plus the place of the value at e among that window's
-    values: how many are smaller (0..w-1) and whether one is equal.  Both
-    grow by one comparison per w, and id * 2w + 2 * below + equal is again
-    one id per type.  The id range grows 2w-fold per w; ids are re-ranked
-    with np.unique only once it reaches _RERANK_AT = 2^31, so they fit in
-    int32 (never at k <= 5), which the store checks.
+    x_ids[w-k, i] is the id of the length-w window of xs ending at x_i,
+    for w in [k, 2k-1]; y_ids likewise.  Windows that do not fit get -1 in
+    x_ids and -2 in y_ids, so they match nothing.  When min(m, n) < k no
+    chunk fits, and both have no rows.
+
+    The type of the length-w window ending at e is the type of the
+    length-(w-1) window ending at e-1 plus the place of the value at e
+    among that window's values: how many are smaller (0..w-1) and whether
+    one is equal.  Both grow by one comparison per w, and id * 2w + 2 *
+    below + equal is again one id per type.  The id range grows 2w-fold
+    per w; ids are re-ranked with np.unique only once it reaches
+    _RERANK_AT = 2^31, so they fit in int32 (never at k <= 5), which the
+    store checks.
     """
     m, n = len(xs), len(ys)
     r = _ranks(xs + ys)
@@ -265,26 +235,6 @@ def op_lcs_kplus_state(x, y, k: int) -> OpDpState:
     return MODE.solve(x, y, k, witness=True)
 
 
-class _Scores:
-    """Scores C[i, j] read from OpDpState.scores, for walk_chunks.
-
-    at(i, j, score) gives the score of the cell the walk stands on; every
-    later read lies within 2k(2k-1) below it (see OpDpState), so the
-    residue modulo 2^bits fixes it.  The walk starts at the total.
-    """
-
-    def __init__(self, state: OpDpState):
-        self.scores, self.shape, self.score = state.scores, state.scores.shape, state.length
-        self.mask = (1 << 8 * state.scores.itemsize) - 1
-
-    def at(self, i: int, j: int, score: int) -> None:
-        self.score = score
-
-    def __getitem__(self, cell) -> int:
-        s = self.score
-        return s - ((s - self.scores.item(cell)) & self.mask)
-
-
 def op_traceback(state: OpDpState) -> ChunkAlignment:
     """Recover one optimal chunk decomposition from retained sweep state.
 
@@ -292,23 +242,20 @@ def op_traceback(state: OpDpState) -> ChunkAlignment:
     [k, ell] reproduces the cell's score, using the shortest such length;
     otherwise step left, then up.  Only lengths up to 2k-1 are tried (see
     the module docstring), and those whose ids match at (i, j) form a
-    prefix of k..2k-1.  Scores are read from their residues against the
-    score of the walk's cell (see _Scores); the int32 table is never built.
+    prefix of k..2k-1.  Each read tests a residue (core.walk_chunks), so
+    the int32 table is never built.
     """
     k = state.k
     x_ids, y_ids = state.x_ids.tolist(), state.y_ids.tolist()
-    scores = _Scores(state)
 
     def chunk_lengths(i, j, score):
-        scores.at(i, j, score)
         w = k
         while w < 2 * k and x_ids[w - k][i] == y_ids[w - k][j]:
             yield w
             w += 1
 
-    return walk_chunks(scores, k, chunk_lengths)
+    return walk_chunks(state.scores, state.length, k, chunk_lengths)
 
 
-MODE = Mode("op", _window_ids, _sweep, table_bound=lambda k: 2 * k * (2 * k - 1),
-            state=OpDpState, walk=lambda state, x, y, k: op_traceback(state),
+MODE = Mode("op", _window_ids, _sweep, walk=lambda state, x, y, k: op_traceback(state),
             rows_over_longer=False)

@@ -1,8 +1,12 @@
+import dataclasses
+import random
+
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lcsk import exact, op_lcs
 from lcsk.core import (
     ChunkAlignment,
     Params,
@@ -10,7 +14,10 @@ from lcsk.core import (
     as_items,
     check_k,
     validate_alignment,
+    walk_chunks,
 )
+
+MODES = {"exact": exact.MODE, "op": op_lcs.MODE}
 
 
 class TestSequence:
@@ -141,3 +148,82 @@ class TestValidateAlignment:
         kept = tuple(c for i, c in enumerate(chunks) if i != drop)
         reduced = ChunkAlignment(total=total - chunks[drop][2], chunks=kept)
         assert validate_alignment(base, base, Params(k=2), reduced)
+
+
+def _int32_grid(mode, xs, ys, k):
+    """The mode's score table from its sweep, stored in int32 with no modulus."""
+    x_ids, y_ids = MODES[mode].window_ids(tuple(xs), tuple(ys), k)
+    grid = np.zeros((len(xs) + 1, len(ys) + 1), dtype=np.int32)
+    MODES[mode].sweep(x_ids, y_ids, k, grid)
+    return grid
+
+
+def _int32_walk(mode, state, xs, ys, grid):
+    """The mode's walk over an int32 grid, with its tie policy: the longest
+    chunk up to the common-suffix run (exact), or the shortest whose window
+    ids match (op)."""
+    k, x_ids, y_ids = state.k, state.x_ids, state.y_ids
+    runs = exact.match_run_table(xs, ys) if mode == "exact" else None
+
+    def chunk_lengths(i, j, score):
+        if mode == "exact":
+            return range(int(runs[i, j]), k - 1, -1)
+        return [w for w in range(k, 2 * k) if x_ids[w - k, i] == y_ids[w - k, j]]
+
+    return walk_chunks(grid, int(grid[-1, -1]), k, chunk_lengths)
+
+
+@st.composite
+def _planted_pairs(draw):
+    """Two sequences over 0..3 that share a segment at random positions."""
+    x = draw(st.lists(st.integers(0, 3), max_size=14))
+    y = draw(st.lists(st.integers(0, 3), max_size=14))
+    seg = draw(st.lists(st.integers(0, 3), max_size=12))
+    i, j = draw(st.integers(0, len(x))), draw(st.integers(0, len(y)))
+    return tuple(x[:i] + seg + x[i:]), tuple(y[:j] + seg + y[j:])
+
+
+class TestWitnessTable:
+    @given(st.sampled_from(sorted(MODES)), _planted_pairs(), st.integers(1, 6))
+    @settings(max_examples=300)
+    def test_score_differences_are_bounded(self, mode, pair, k):
+        # what walk_chunks' residue tests rest on: C[i, j] - C[i-w, j-w] is
+        # at most w + k - 1, and row and column differences lie in [0, k]
+        k = max(k, 2) if mode == "op" else k
+        c = MODES[mode].solve(*pair, k, witness=True).lengths
+        for axis in (0, 1):
+            step = np.diff(c, axis=axis)
+            assert step.min(initial=0) >= 0 and step.max(initial=0) <= k
+        for w in range(1, min(c.shape)):
+            assert (c[w:, w:] - c[:-w, :-w]).max() <= w + k - 1
+
+    @pytest.mark.parametrize("mode", sorted(MODES))
+    @pytest.mark.parametrize("k, dtype", [(255, np.uint8), (256, np.uint16)])
+    def test_table_dtype_edges(self, mode, k, dtype):
+        # x = S1 g S2 R z and y = R S1 h S2, with |S1| = 600 > 2k, |S2| = k
+        # and |R| = 600 + k - 128, values all distinct and S1 below R: the
+        # total 600 + k comes from S1 and S2, and the walk's first read,
+        # C[m, n-1] = |R|, is 128 below it, which a residue test modulo 2^7
+        # would take for the total.  The ends g, h, z stop op chunks from
+        # growing past these pieces.
+        rng = random.Random(k)
+        low, high = list(range(1, 601)), list(range(601, 1073 + 2 * k))
+        rng.shuffle(low)
+        rng.shuffle(high)
+        s1, s2, r = low, high[:k], high[k:]
+        x, y = s1 + [10**6] + s2 + r + [10**6 + 1], r + s1 + [0] + s2
+        state = MODES[mode].solve(x, y, k, witness=True)
+        assert state.scores.dtype == dtype
+        grid = _int32_grid(mode, x, y, k)
+        assert np.array_equal(state.lengths, grid)
+        assert state.length == int(grid[-1, -1]) == 600 + k == int(grid[-1, -2]) + 128
+        want = _int32_walk(mode, state, x, y, grid)
+        assert MODES[mode].walk(state, x, y, k) == want
+        # no table that fits here has scores above 2^16, so shift every score
+        # by a constant that puts 2^bits halfway along the walk
+        bits = 8 * state.scores.itemsize
+        shift = (2**bits - state.length // 2) % 2**bits
+        scores = (state.scores.astype(np.int64) + shift) % 2**bits
+        wrapped = dataclasses.replace(state, length=state.length + shift, scores=scores.astype(dtype))
+        got = MODES[mode].walk(wrapped, x, y, k)
+        assert got.chunks == want.chunks and got.total == want.total + shift

@@ -42,13 +42,6 @@ def _run_walk(xs, ys, k):
     return lambda i, j, score: range(int(runs[i, j]), k - 1, -1)
 
 
-def _int32_grid(xs, ys, k):
-    """The int32 score grid from _sweep's row differences, kept in int32."""
-    diffs = np.zeros((len(xs) + 1, len(ys) + 1), dtype=np.int32)
-    _sweep(*_window_ids(tuple(xs), tuple(ys), k), k, diffs)
-    return np.cumsum(diffs, axis=1, dtype=np.int32)
-
-
 class TestGoldens:
     def test_example_pair_k2(self):
         assert lcs_kplus_length("acdbacbc", "aacdabca", 2) == 5
@@ -237,10 +230,10 @@ class TestTraceback:
     def test_dead_end_raises(self):
         # a score that neither a chunk, the left cell nor the upper cell explains
         t = compute_tables("abc", "xyz", 1)
-        diffs = t.diffs.copy()
-        diffs[3, 3] = 2  # C[3, 3] = 2 with C[3, 2] = C[2, 3] = 0
+        scores = t.scores.copy()
+        scores[3, 3] = 2  # C[3, 3] = 2 with C[3, 2] = C[2, 3] = 0
         with pytest.raises(RuntimeError, match=r"inconsistent DP table at \(3, 3\)"):
-            traceback(dataclasses.replace(t, diffs=diffs), "abc", "xyz", 1)
+            traceback(dataclasses.replace(t, scores=scores, length=2), "abc", "xyz", 1)
 
     def test_tables_of_other_inputs_rejected(self):
         t = compute_tables("abcab", "abcb", 2)
@@ -268,10 +261,10 @@ class TestTraceback:
                 return ()
             return range(int(runs[i, j]), k - 1, -1)
 
-        assert traceback(tables, xs, ys, k) == walk_chunks(tables.lengths, k, gated)
+        assert traceback(tables, xs, ys, k) == walk_chunks(tables.lengths, tables.length, k, gated)
 
     def test_witness_peak_is_one_byte_per_cell(self):
-        # uint8 row differences; the walk decodes at most 2k rows at a time
+        # uint8 scores modulo 2^8; the walk decodes no row
         rng = random.Random(6)
         x = "".join(rng.choice("ACGT") for _ in range(600))
         y = x[:200] + "".join(rng.choice("ACGT") for _ in range(400))
@@ -287,7 +280,7 @@ class TestTraceback:
     def test_walk_never_decodes_the_table(self, monkeypatch):
         xs, ys = "acdbacbcacdb", "aacdabcaacd"
         tables = compute_tables(xs, ys, 2)
-        want = walk_chunks(tables.lengths, 2, _run_walk(xs, ys, 2))
+        want = walk_chunks(tables.lengths, tables.length, 2, _run_walk(xs, ys, 2))
         monkeypatch.setattr(DpTables, "lengths", property(lambda t: pytest.fail("decoded")))
         assert traceback(tables, xs, ys, 2) == want
 
@@ -298,25 +291,9 @@ class TestTraceback:
         # length from the common-suffix run down to k
         xs, ys = pair
         tables = compute_tables(xs, ys, k)
-        assert tables.diffs.dtype == np.uint8
-        want = walk_chunks(tables.lengths, k, _run_walk(xs, ys, k))
+        assert tables.scores.dtype == np.uint8
+        want = walk_chunks(tables.lengths, tables.length, k, _run_walk(xs, ys, k))
         assert traceback(tables, xs, ys, k) == want
-
-    @pytest.mark.parametrize("k, dtype", [(255, np.uint8), (256, np.uint16), (300, np.uint16)])
-    def test_difference_dtype_holds_k(self, k, dtype):
-        # a planted 600-symbol segment makes row differences reach k itself
-        rng = random.Random(k)
-        seg = "".join(rng.choice("ACGT") for _ in range(600))
-        x = "".join(rng.choice("ACGT") for _ in range(150)) + seg
-        y = seg + "".join(rng.choice("ACGT") for _ in range(90))
-        tables = compute_tables(x, y, k)
-        assert tables.diffs.dtype == dtype
-        assert int(tables.diffs.max()) == k
-        grid = _int32_grid(x, y, k)
-        assert (tables.lengths == grid).all()
-        want = walk_chunks(grid, k, _run_walk(x, y, k))
-        assert want.total >= 600
-        assert traceback(tables, x, y, k) == want
 
     def test_table_too_big_is_named(self, monkeypatch):
         real = np.zeros
