@@ -42,6 +42,13 @@ def _run_walk(xs, ys, k):
     return lambda i, j, score: range(int(runs[i, j]), k - 1, -1)
 
 
+def _int32_grid(xs, ys, k):
+    """The score grid from _sweep, stored in int32 with no modulus."""
+    grid = np.zeros((len(xs) + 1, len(ys) + 1), dtype=np.int32)
+    _sweep(*_window_ids(tuple(xs), tuple(ys), k), k, grid)
+    return grid
+
+
 class TestGoldens:
     def test_example_pair_k2(self):
         assert lcs_kplus_length("acdbacbc", "aacdabca", 2) == 5
@@ -294,6 +301,23 @@ class TestTraceback:
         assert tables.scores.dtype == np.uint8
         want = walk_chunks(tables.lengths, tables.length, k, _run_walk(xs, ys, k))
         assert traceback(tables, xs, ys, k) == want
+
+    @pytest.mark.parametrize("k, dtype", [(255, np.uint8), (256, np.uint16), (300, np.uint16)])
+    def test_difference_dtype_holds_k(self, k, dtype):
+        # a planted 600-symbol segment makes row differences reach k itself;
+        # the walk's residue tests hold while k < 2^bits of the table
+        rng = random.Random(k)
+        seg = "".join(rng.choice("ACGT") for _ in range(600))
+        x = "".join(rng.choice("ACGT") for _ in range(150)) + seg
+        y = seg + "".join(rng.choice("ACGT") for _ in range(90))
+        tables = compute_tables(x, y, k)
+        assert tables.scores.dtype == dtype
+        grid = _int32_grid(x, y, k)
+        assert int(np.diff(grid, axis=1).max()) == k
+        assert (tables.lengths == grid).all()
+        want = walk_chunks(grid, int(grid[-1, -1]), k, _run_walk(x, y, k))
+        assert tables.length == want.total >= 600
+        assert traceback(tables, x, y, k) == want
 
     def test_table_too_big_is_named(self, monkeypatch):
         real = np.zeros

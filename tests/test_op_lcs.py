@@ -367,6 +367,22 @@ class TestTraceback:
         assert np.array_equal(state.lengths, int32_scores(xs, ys, k))
         assert op_traceback(state) == int32_walk(state, state.lengths)
 
+    @pytest.mark.parametrize("k, dtype", [(8, np.uint8)])
+    def test_dtype_switch_points(self, k, dtype):
+        # the table holds scores modulo 2^bits in table_dtype(k), uint8 up to
+        # k=255; the total here is above 255, so uint8 scores wrap
+        rng = random.Random(k)
+        xs = run_heavy(rng, 400)
+        ys = tuple(2 * v - 3 for v in xs[:200]) + planted_pair(rng, xs, 200, k)
+        state = op_lcs_kplus_state(xs, ys, k)
+        assert state.scores.dtype == dtype
+        want = uncapped_scores(xs, ys, k)
+        assert np.array_equal(state.lengths, want)
+        assert state.length == int(want[-1, -1]) > 255
+        a = op_traceback(state)
+        assert a == int32_walk(state, want)
+        assert validate_alignment(xs, ys, Params(k=k, mode="op"), a)
+
     @pytest.mark.parametrize("size, dtype", [(255, np.uint8), (256, np.uint16)])
     def test_sweep_dtype_switch_points(self, monkeypatch, size, dtype):
         # the sweep keeps scores in table_dtype(min(m, n)); against the 3v+7
@@ -389,6 +405,22 @@ class TestTraceback:
         a = op_traceback(state)
         assert a == int32_walk(state, want) and a.total == size
         assert validate_alignment(xs, ys, Params(k=3, mode="op"), a)
+
+    @pytest.mark.parametrize("k, size, table", [(3, 256, np.uint8)])
+    def test_sweep_and_table_dtypes_differ(self, k, size, table):
+        # min(m, n)=256: the sweep runs in uint16, and its rows are stored
+        # modulo 2^8 in the uint8 table of k=3
+        rng = random.Random(k * size)
+        xs = run_heavy(rng, 300)
+        ys = tuple(2 * v - 3 for v in xs[: size // 2]) + planted_pair(rng, xs, size - size // 2, k)
+        state = op_lcs_kplus_state(xs, ys, k)
+        assert state.scores.dtype == table
+        want = int32_scores(xs, ys, k)
+        assert np.array_equal(state.lengths, want)
+        assert state.length == int(want[-1, -1]) == op_lcs_kplus_length(xs, ys, k)
+        a = op_traceback(state)
+        assert a == int32_walk(state, want)
+        assert validate_alignment(xs, ys, Params(k=k, mode="op"), a)
 
     def test_scores_wrap_around(self):
         # a 700-value run series against 3v+7 of itself: the total is 700,
