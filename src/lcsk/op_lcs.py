@@ -84,23 +84,17 @@ OpDpState = DpState  # the witness state, with the ids of _window_ids
 def _ranks(values: tuple) -> np.ndarray:
     """Dense ranks of hashable, totally ordered, NaN-free values.
 
-    Values that are all of type int and fit in int64, or all of type
-    float and free of NaN, are ranked by one np.unique: they need no
-    order check, and np.unique merges -0.0 and 0.0 as == does.  Otherwise
-    only the distinct values (core.distinct) are sorted.  Each must then
-    be below the next: a partial order such as subset order on frozensets
-    sorts, but its ranks would not give order types.
+    Values that are all of type int and fit in int64 are ranked by one
+    np.unique: ints need no NaN or order check.  Otherwise only the
+    distinct values (core.distinct) are sorted.  Each must then be below
+    the next: a partial order such as subset order on frozensets sorts,
+    but its ranks would not give order types.
     """
-    kinds = set(map(type, values))  # not bool, not an int or float subclass
-    if kinds == {int}:
+    if set(map(type, values)) == {int}:  # not bool, not an int subclass
         try:
             return np.unique(np.array(values, dtype=np.int64), return_inverse=True)[1]
         except OverflowError:  # beyond int64
             pass
-    elif kinds == {float}:
-        floats = np.array(values, dtype=np.float64)
-        if not np.isnan(floats).any():  # NaN: the general path names it
-            return np.unique(floats, return_inverse=True)[1]
     keys = distinct(values, "op")
     try:
         order = sorted(keys)

@@ -14,7 +14,6 @@ from lcsk.core import (
     as_items,
     check_k,
     validate_alignment,
-    walk_chunks,
 )
 
 MODES = {"exact": exact.MODE, "op": op_lcs.MODE}
@@ -150,29 +149,6 @@ class TestValidateAlignment:
         assert validate_alignment(base, base, Params(k=2), reduced)
 
 
-def _int32_grid(mode, xs, ys, k):
-    """The mode's score table from its sweep, stored in int32 with no modulus."""
-    x_ids, y_ids = MODES[mode].window_ids(tuple(xs), tuple(ys), k)
-    grid = np.zeros((len(xs) + 1, len(ys) + 1), dtype=np.int32)
-    MODES[mode].sweep(x_ids, y_ids, k, grid)
-    return grid
-
-
-def _int32_walk(mode, state, xs, ys, grid):
-    """The mode's walk over an int32 grid, with its tie policy: the longest
-    chunk up to the common-suffix run (exact), or the shortest whose window
-    ids match (op)."""
-    k, x_ids, y_ids = state.k, state.x_ids, state.y_ids
-    runs = exact.match_run_table(xs, ys) if mode == "exact" else None
-
-    def chunk_lengths(i, j, score):
-        if mode == "exact":
-            return range(int(runs[i, j]), k - 1, -1)
-        return [w for w in range(k, 2 * k) if x_ids[w - k, i] == y_ids[w - k, j]]
-
-    return walk_chunks(grid, int(grid[-1, -1]), k, chunk_lengths)
-
-
 @st.composite
 def _planted_pairs(draw):
     """Two sequences over 0..3 that share a segment at random positions."""
@@ -214,16 +190,16 @@ class TestWitnessTable:
         x, y = s1 + [10**6] + s2 + r + [10**6 + 1], r + s1 + [0] + s2
         state = MODES[mode].solve(x, y, k, witness=True)
         assert state.scores.dtype == dtype
-        grid = _int32_grid(mode, x, y, k)
-        assert np.array_equal(state.lengths, grid)
-        assert state.length == int(grid[-1, -1]) == 600 + k == int(grid[-1, -2]) + 128
-        want = _int32_walk(mode, state, x, y, grid)
-        assert MODES[mode].walk(state, x, y, k) == want
-        # no table that fits here has scores above 2^16, so shift every score
-        # by a constant that puts 2^bits halfway along the walk
+        c = state.lengths
+        assert state.length == int(c[-1, -1]) == 600 + k == int(c[-1, -2]) + 128
+        got = MODES[mode].walk(state, x, y, k)
+        assert validate_alignment(x, y, Params(k=k, mode=mode), got)
+        # the same walk over the decoded int32 grid, and over the residues with
+        # every score shifted by a constant that puts 2^bits halfway along it
+        assert got == MODES[mode].walk(dataclasses.replace(state, scores=c), x, y, k)
         bits = 8 * state.scores.itemsize
         shift = (2**bits - state.length // 2) % 2**bits
         scores = (state.scores.astype(np.int64) + shift) % 2**bits
         wrapped = dataclasses.replace(state, length=state.length + shift, scores=scores.astype(dtype))
-        got = MODES[mode].walk(wrapped, x, y, k)
-        assert got.chunks == want.chunks and got.total == want.total + shift
+        shifted = MODES[mode].walk(wrapped, x, y, k)
+        assert shifted.chunks == got.chunks and shifted.total == got.total + shift

@@ -516,10 +516,6 @@ class _Int(int):
     """An int subclass: ordered as int, but ranked on the general path."""
 
 
-class _Float(float):
-    """A float subclass: ordered as float, but ranked on the general path."""
-
-
 class TestRanksAndIds:
     ints = st.one_of(
         st.integers(-3, 3),
@@ -536,20 +532,6 @@ class TestRanksAndIds:
         assert fast.dtype == general.dtype == np.int64
         assert np.array_equal(fast, general)
         assert np.array_equal(general, [sorted(set(values)).index(v) for v in values])
-
-    @given(st.lists(st.one_of(st.sampled_from([-0.0, 0.0, math.inf, -math.inf, 5e-324, -1.5]),
-                              st.floats(allow_nan=False)), min_size=1, max_size=40))
-    def test_float_path_gives_the_general_ranks(self, values):
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(lcsk.op_lcs, "distinct", lambda *a: pytest.fail("general path"))
-            fast = lcsk.op_lcs._ranks(tuple(values))
-        general = lcsk.op_lcs._ranks(tuple(map(_Float, values)))
-        assert fast.dtype == general.dtype == np.int64
-        assert np.array_equal(fast, general)
-        # the list index matches -0.0 and 0.0 as ==, so they share a rank
-        assert np.array_equal(general, [sorted(set(values)).index(v) for v in values])
-        with pytest.raises(ValueError, match="^op mode needs totally ordered values; got NaN$"):
-            lcsk.op_lcs._ranks(tuple(values) + (math.nan,))
 
     @pytest.mark.parametrize("f", [
         lambda v: v + 2**63,  # beyond int64
