@@ -52,7 +52,7 @@ def run_cells(
     mode: str, n_list: Iterable[int], k_list: Iterable[int], sigma: int, seed: int
 ) -> list:
     """Time every (n, k) cell; returns BenchCell rows in deterministic order."""
-    solve = _MODES[mode].solve
+    solve, n_list, k_list = _MODES[mode].solve, list(n_list), list(k_list)  # iterators would run out
     wx, wy = generate_pair(mode, 16, sigma, seed)
     solve(wx, wy, max(2, min(k_list, default=2)))  # warm-up (first numpy calls, caches)
     rows = []

@@ -171,7 +171,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--k", type=int, required=True, help=k_help)
         p.add_argument("--chunks", action="store_true", help="also print alignment JSON")
         if name == "exact":
-            p.add_argument("--low-mem", action="store_true", help="O(k*min(m,n)) memory path")
+            p.add_argument("--low-mem", action="store_true", help="O(k*(m+n)) memory path")
         p.add_argument("--dump-tables", action="store_true", help=grids_help)
         p.add_argument("--quiet", action="store_true", help="bare length only")
         p.add_argument("--out", help="write output to a file instead of stdout")

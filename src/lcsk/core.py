@@ -63,10 +63,11 @@ def table_dtype(bound: int):
 
 
 def zeros_table(rows: int, cols: int, dtype) -> np.ndarray:
-    """A zeroed rows x cols score table; if it cannot be allocated, the
-    MemoryError names its size and the bytes it needs."""
+    """A zeroed rows x cols score table, in column order if rows > cols, so
+    that the rows of its transpose, which Mode.solve sweeps, are contiguous;
+    if it cannot be allocated, the MemoryError names its size and bytes."""
     try:
-        return np.zeros((rows, cols), dtype=dtype)
+        return np.zeros((rows, cols), dtype=dtype, order="F" if rows > cols else "C")
     except MemoryError:
         dtype = np.dtype(dtype)
         raise MemoryError(f"cannot allocate the {rows} x {cols} score table: "
@@ -245,32 +246,28 @@ class Mode:
     to their windows, equal where a chunk can end; sweep(x_ids, y_ids, k,
     table) returns C[m, n] and fills ``table`` with C modulo 2^bits of
     its dtype, unless it is None; walk(state, x, y, k) reads a DpState
-    back into a ChunkAlignment.  rows_over_longer says which input the
-    length path's rows run over: the longer one, so that its row buffers
-    span the shorter, or the shorter one, for fewer and wider numpy calls.
+    back into a ChunkAlignment.
     """
 
     name: str
     window_ids: Callable
     sweep: Callable
     walk: Callable
-    rows_over_longer: bool
 
     def solve(self, x, y, k, witness: bool = False):
-        """C[m, n], or with ``witness`` the DpState walk reads.  The length
-        path keeps no table, and runs its rows over the longer input if
-        rows_over_longer, else over the shorter; the witness path's rows
-        run over x."""
+        """C[m, n], or with ``witness`` the DpState walk reads; the length
+        path keeps no table.  Both recurrences are symmetric, so the rows
+        run over the shorter input, over x when m == n: for m > n the sweep
+        solves (y, x) into the transpose of the table, and the ids are
+        swapped back."""
         k = check_k(k, self.name)
         xs, ys = as_items(x), as_items(y)
         m, n = len(xs), len(ys)
-        if not witness and (n > m if self.rows_over_longer else m > n):
-            xs, ys = ys, xs  # both problems are symmetric
-        x_ids, y_ids = self.window_ids(xs, ys, k)
-        table = None
-        if witness:  # rows below k and column 0 score 0
-            table = zeros_table(m + 1, n + 1, table_dtype(k))
-        length = self.sweep(x_ids, y_ids, k, table) if min(m, n) >= k else 0
+        flip = m > n
+        ids = self.window_ids(*((ys, xs) if flip else (xs, ys)), k)
+        table = zeros_table(m + 1, n + 1, table_dtype(k)) if witness else None  # rows < k score 0
+        length = self.sweep(*ids, k, table.T if flip and witness else table) if min(m, n) >= k else 0
+        x_ids, y_ids = ids[::-1] if flip else ids
         return DpState(k, length, table, x_ids, y_ids) if witness else length
 
 

@@ -9,14 +9,15 @@ Quadratic DP over two quantities:
 Rows only depend on rows i-1 and i-k of lengths and row i-1 of chunk_max,
 so one numpy row loop, _sweep, runs on a ring of k+1 score rows and two
 chunk_max rows for both entry points, which MODE.solve (see core.Mode)
-drives.  The length path keeps the rings alone, over the shorter
-sequence: O(k * min(m, n)) ints.  compute_tables has _sweep store each
-finished score row modulo 2^bits in core.table_dtype(k): one byte per
-cell for k <= 255 (see core.DpState).  traceback only tests whether a
-cell holds a given score, which the residue decides (core.walk_chunks),
-and never builds the int32 table.  chunk_max_table builds the full
-chunk_max grid from its definition, out of the score table and
-match_run_table, for display and tests.
+drives with its rows over the shorter sequence.  The length path keeps
+the rings alone, over the longer one: O(k * (m + n)) ints with the window
+ids.  compute_tables has _sweep store each finished score row modulo
+2^bits in core.table_dtype(k): one byte per cell for k <= 255 (see
+core.DpState).  traceback only tests whether a cell holds a given score,
+which the residue decides (core.walk_chunks), and never builds the int32
+table.  chunk_max_table builds the full chunk_max grid from its
+definition, out of the score table and match_run_table, for display and
+tests.
 """
 
 from __future__ import annotations
@@ -56,11 +57,11 @@ def compute_tables(x, y, k: int) -> DpTables:
     """The score table modulo 2^bits, O(mn) bytes; feed the result to
     traceback().
 
-    _sweep, the row loop of the length path, fills the rows over x and
-    stores each row as it finishes.  Beside the table _sweep holds k+1
-    int32 score rows, 4(k+1)(n+1) bytes: about 4(k+1)/(m+1) B/cell more
-    than a uint8 table, so the ring, not the table, sets the peak once k is
-    a sizeable part of m.
+    _sweep, the row loop of the length path, fills the rows over the
+    shorter input and stores each row as it finishes.  Beside the table
+    _sweep holds k+1 int32 score rows, 4(k+1)(max(m, n)+1) bytes: about
+    4(k+1)/(min(m, n)+1) B/cell more than a uint8 table, so the ring, not
+    the table, sets the peak once k is a sizeable part of min(m, n).
     """
     return MODE.solve(x, y, k, witness=True)
 
@@ -148,11 +149,8 @@ def _sweep(xg: np.ndarray, yg: np.ndarray, k: int, table=None) -> int:
 
 
 def lcs_kplus_length(x, y, k: int) -> int:
-    """LCS_{k+} length in O(k * min(m, n)) memory.
-
-    _sweep without a table; rows run over the longer sequence so that they
-    span the shorter one.
-    """
+    """LCS_{k+} length in O(k * (m + n)) memory: _sweep without a table,
+    its k+1 ring rows over the longer sequence."""
     return MODE.solve(x, y, k)
 
 
@@ -211,4 +209,4 @@ def traceback(tables: DpTables, x, y, k: int) -> ChunkAlignment:
     return walk_chunks(tables.scores, tables.length, k, chunk_lengths)
 
 
-MODE = Mode("exact", _window_ids, _sweep, walk=traceback, rows_over_longer=True)
+MODE = Mode("exact", _window_ids, _sweep, walk=traceback)

@@ -47,11 +47,10 @@ Cost: O(k * mn) element operations in O(m/k) blocks of a few numpy calls
 each, plus O((m+n) * k) element operations for the window ids, with a
 sort of m+n ids each time their range passes 2^31 (none for k <= 5).
 The ids are skipped when min(m, n) < k.  On short inputs the block count,
-not the cell count, sets the time, so the length path runs its rows over
-the shorter input (MODE.rows_over_longer is False): its ids already take
-O(k * (m+n)) memory, and the mask group stays capped.  The paper's
-k-independent O(mn) bound, from an op-LCE table and window maxima, stays
-with the reference modules order_iso and rmq; the solver calls neither.
+not the cell count, sets the time, so it matters that MODE.solve runs the
+rows over the shorter input.  The paper's k-independent O(mn) bound, from
+an op-LCE table and window maxima, stays with the reference modules
+order_iso and rmq; the solver calls neither.
 """
 
 from __future__ import annotations
@@ -214,13 +213,10 @@ def _sweep(x_ids: np.ndarray, y_ids: np.ndarray, k: int, table=None) -> int:
 
 
 def op_lcs_kplus_length(x, y, k: int) -> int:
-    """op-LCS_{k+} length in O(k * (m + n)) memory.
-
-    Rows run over the shorter sequence, so that there are fewer blocks of
-    wider numpy calls: beside the window ids, the sweep keeps O(k) score
-    rows over the longer one and a mask group of at most _MASK_ELEMENTS
-    entries, in the narrowest dtype that holds min(m, n).
-    """
+    """op-LCS_{k+} length in O(k * (m + n)) memory: beside the window ids,
+    the sweep keeps O(k) score rows over the longer sequence and a mask
+    group of at most _MASK_ELEMENTS entries, in the narrowest dtype that
+    holds min(m, n)."""
     return MODE.solve(x, y, k)
 
 
@@ -251,5 +247,4 @@ def op_traceback(state: OpDpState) -> ChunkAlignment:
     return walk_chunks(state.scores, state.length, k, chunk_lengths)
 
 
-MODE = Mode("op", _window_ids, _sweep, walk=lambda state, x, y, k: op_traceback(state),
-            rows_over_longer=False)
+MODE = Mode("op", _window_ids, _sweep, walk=lambda state, x, y, k: op_traceback(state))

@@ -357,6 +357,12 @@ class TestBench:
         r2 = run_cells("exact", [48], [2], 4, 11)
         assert [c.length for c in r1] == [c.length for c in r2]
 
+    def test_iterator_arguments_give_every_row(self):
+        got = run_cells("exact", iter([50, 60]), (k for k in (2, 3)), 4, 0)
+        want = run_cells("exact", [50, 60], [2, 3], 4, 0)
+        assert [(c.n, c.k, c.length) for c in got] == [(c.n, c.k, c.length) for c in want]
+        assert len(got) == 4
+
     def test_bad_parameters(self, capsys):
         code, _, _ = run(capsys, ["bench", "--mode", "op", "--n", "16", "--k", "1", "--sigma", "4"])
         assert code == 2

@@ -1,5 +1,6 @@
 import dataclasses
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from lcsk.core import (
     check_k,
     validate_alignment,
 )
+from lcsk.oracles import naive_lcs_kplus, naive_op_lcs_kplus
 
 MODES = {"exact": exact.MODE, "op": op_lcs.MODE}
 
@@ -203,3 +205,78 @@ class TestWitnessTable:
         wrapped = dataclasses.replace(state, length=state.length + shift, scores=scores.astype(dtype))
         shifted = MODES[mode].walk(wrapped, x, y, k)
         assert shifted.chunks == got.chunks and shifted.total == got.total + shift
+
+
+class TestOrientation:
+    """Mode.solve sweeps its rows over the shorter input, x on a tie."""
+
+    @staticmethod
+    def spied(mode):
+        # the ids and table order each sweep call gets, from a copy of the mode
+        calls = []
+
+        def spy(x_ids, y_ids, k, table=None):
+            calls.append((x_ids.copy(), y_ids.copy(), table is None or table.flags.c_contiguous))
+            return mode.sweep(x_ids, y_ids, k, table)
+
+        return dataclasses.replace(mode, sweep=spy), calls
+
+    @staticmethod
+    def assert_swept(calls, mode, rows, cols, k):
+        want = mode.window_ids(rows, cols, k)
+        for x_ids, y_ids, contiguous in calls:
+            assert np.array_equal(x_ids, want[0]) and np.array_equal(y_ids, want[1])
+            assert contiguous  # the rows of the table the sweep fills
+
+    @pytest.mark.parametrize("mode", sorted(MODES))
+    def test_rows_run_over_the_shorter_input(self, mode):
+        mode, k = MODES[mode], 3
+        rng = random.Random(3)
+        xs = tuple(rng.randint(1, 6) for _ in range(12))
+        noise = [rng.randint(1, 6) for _ in range(28)]
+        ys = tuple(noise[:9] + list(xs[:5]) + noise[9:20] + list(xs[5:]) + noise[20:])
+        spied, calls = self.spied(mode)
+        a, b = spied.solve(xs, ys, k), spied.solve(ys, xs, k)
+        c, d = spied.solve(xs, ys, k, witness=True), spied.solve(ys, xs, k, witness=True)
+        assert len(calls) == 4
+        self.assert_swept(calls, mode, xs, ys, k)
+        oracle = naive_lcs_kplus if mode.name == "exact" else naive_op_lcs_kplus
+        assert a == b == c.length == d.length == oracle(xs, ys, k) >= len(xs)
+        # the flipped solve fills the transpose of a column-order table
+        assert d.scores.shape == (41, 13) and d.scores.flags.f_contiguous
+        assert np.array_equal(d.lengths, c.lengths.T)
+        params = Params(k=k, mode=mode.name)
+        for state, x, y in ((c, xs, ys), (d, ys, xs)):
+            got = mode.walk(state, x, y, k)
+            assert got == mode.walk(dataclasses.replace(state, scores=state.lengths), x, y, k)
+            assert got.total == a and validate_alignment(x, y, params, got)
+
+    @pytest.mark.parametrize("mode", sorted(MODES))
+    def test_equal_lengths_keep_the_argument_order(self, mode):
+        mode, k = MODES[mode], 3
+        xs, ys = (3, 1, 4, 1, 5, 9, 2, 6, 5, 3), (2, 7, 1, 8, 2, 8, 1, 8, 2, 8)
+        assert not np.array_equal(mode.window_ids(xs, ys, k)[0], mode.window_ids(ys, xs, k)[0])
+        spied, calls = self.spied(mode)
+        spied.solve(xs, ys, k)
+        spied.solve(xs, ys, k, witness=True)
+        assert len(calls) == 2
+        self.assert_swept(calls, mode, xs, ys, k)
+
+    @pytest.mark.parametrize("mode", sorted(MODES))
+    @pytest.mark.parametrize("k", [3, 30])
+    def test_length_peak_on_a_skewed_pair(self, mode, k):
+        # O(k * (m + n)): exact's k+1 int32 ring rows span the longer input,
+        # 4(k+1)(n+1) bytes, and op keeps O(k) ids per symbol, O(k) rows over
+        # the longer input and a capped mask group.  No (m+1) x (n+1) table:
+        # at 201 x 20001 bytes it would pass the bound at both k.
+        m, n = 200, 20000
+        rng = np.random.default_rng(40)
+        x, y = rng.integers(1, 1001, m).tolist(), rng.integers(1, 1001, n).tolist()
+        for args in ((x, y), (y, x)):
+            tracemalloc.start()
+            try:
+                MODES[mode].solve(*args, k)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < (8 * (k + 1) + 64) * (m + n)

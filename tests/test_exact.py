@@ -323,7 +323,7 @@ class TestTraceback:
         real = np.zeros
 
         def zeros(shape, *args, **kwargs):
-            if shape == (6, 8):
+            if shape in ((6, 8), (8, 6)):
                 raise MemoryError
             return real(shape, *args, **kwargs)
 
@@ -333,4 +333,6 @@ class TestTraceback:
             compute_tables(x, y, 2)
         with pytest.raises(MemoryError, match=r"6 x 8 score table: 48 bytes of uint8"):
             op_lcs_kplus_state(x, y, 2)
+        with pytest.raises(MemoryError, match=r"^cannot allocate the 8 x 6 score table"):
+            compute_tables(y, x, 2)  # swept as (x, y), into the transpose
         assert lcs_kplus_length(x, y, 2) == 3  # the length path keeps no table

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import random
 import tracemalloc
@@ -435,34 +434,6 @@ class TestTraceback:
 
 
 class TestOrientation:
-    @staticmethod
-    def spy_sweep(monkeypatch):
-        # MODE holds the sweep it calls, so the spy goes into a copy of MODE
-        shapes = []
-
-        def spy(x_ids, y_ids, k, table=None):
-            shapes.append((x_ids.shape[1] - 1, y_ids.shape[1] - 1))
-            return lcsk.op_lcs._sweep(x_ids, y_ids, k, table)
-
-        monkeypatch.setattr(lcsk.op_lcs, "MODE", dataclasses.replace(lcsk.op_lcs.MODE, sweep=spy))
-        return shapes
-
-    def test_length_rows_run_over_the_shorter_input(self, monkeypatch):
-        shapes = self.spy_sweep(monkeypatch)
-        rng = random.Random(3)
-        xs = run_heavy(rng, 12)
-        ys = planted_pair(rng, xs, 40, 3)
-        a, b = op_lcs_kplus_length(xs, ys, 3), op_lcs_kplus_length(ys, xs, 3)
-        assert shapes == [(12, 40), (12, 40)]
-        c, d = op_lcs_kplus_state(xs, ys, 3), op_lcs_kplus_state(ys, xs, 3)
-        assert shapes[2:] == [(12, 40), (40, 12)]  # the witness path's rows run over x
-        assert a == b == c.length == d.length == naive_op_lcs_kplus(xs, ys, 3) > 0
-
-    def test_equal_lengths_keep_the_argument_order(self, monkeypatch):
-        shapes = self.spy_sweep(monkeypatch)
-        op_lcs_kplus_length(EX_X, EX_Y, 3)
-        assert shapes == [(len(EX_X), len(EX_Y))]
-
     @pytest.mark.parametrize("short", [255, 256])
     @pytest.mark.parametrize("k", [2, 3, 9])
     def test_skewed_pairs_in_both_orders(self, short, k):
@@ -494,22 +465,6 @@ class TestOrientation:
         for k in (short, short + 1):
             want = short if k == short else 0
             assert op_lcs_kplus_length(xs, ys, k) == op_lcs_kplus_length(ys, xs, k) == want
-
-    def test_length_peak_on_a_skewed_pair(self):
-        # rows over the 40 values, each 20000 columns wide: beside O(m + n)
-        # ranks and ids, the sweep holds O(k) rows and a mask group that
-        # stays within _MASK_ELEMENTS entries (about 1.4 MB here)
-        m, n, k = 40, 20000, 3
-        rng = np.random.default_rng(40)
-        x, y = rng.integers(1, 1001, m).tolist(), rng.integers(1, 1001, n).tolist()
-        for args in ((x, y), (y, x)):
-            tracemalloc.start()
-            try:
-                op_lcs_kplus_length(*args, k)
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-            assert peak < 24 * k * (m + n) + lcsk.op_lcs._MASK_ELEMENTS
 
 
 class _Int(int):
