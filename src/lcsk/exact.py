@@ -9,22 +9,38 @@ Quadratic DP over two quantities:
 Rows only depend on rows i-1 and i-k of lengths and row i-1 of chunk_max,
 so one numpy row loop, _sweep, runs on a ring of k+1 score rows and two
 chunk_max rows for both entry points, which MODE.solve (see core.Mode)
-drives with its rows over the shorter sequence.  The length path keeps
-the rings alone, over the longer one: O(k * (m + n)) ints with the window
-ids.  compute_tables has _sweep store each finished score row modulo
-2^bits in core.table_dtype(k): one byte per cell for k <= 255 (see
-core.DpState).  traceback only tests whether a cell holds a given score,
-which the residue decides (core.walk_chunks), and never builds the int32
-table.  chunk_max_table builds the full chunk_max grid from its
-definition, out of the score table and match_run_table, for display and
-tests.
+drives with its rows over the shorter sequence.
+
+The length path has two routes, and the count r of chunk-end cells, where
+the length-k windows match, picks one; it comes from one sort of the
+window ids.  Below one chunk-end cell in 1/_SPARSE_SHARE window pairs,
+_point_dp computes the LCSk++ recurrence over those cells alone, in
+O((m + n) log n + r log min(m, n)) time and O(m + n) memory plus the cells
+of k+1 rows.  Otherwise the row loop runs in O(mn) time and keeps its
+rings alone, over the longer sequence: O(k * (m + n)) ints with the window
+ids.  Witnesses always take the row loop and its table: compute_tables has
+_sweep store each finished score row modulo 2^bits in
+core.table_dtype(k), one byte per cell for k <= 255 (see core.DpState).
+traceback only tests whether a cell holds a given score, which the
+residue decides (core.walk_chunks), and never builds the int32 table.
+chunk_max_table builds the full chunk_max grid from its definition, out
+of the score table and match_run_table, for display and tests.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
+from collections import deque
+
 import numpy as np
 
 from .core import ChunkAlignment, DpState, Mode, as_items, distinct, score_test, walk_chunks
+
+# The length path's row loop costs about 5 ns per cell, and _point_dp
+# about 1 us per chunk-end cell (2-core x86-64 VM, CPython 3.11, numpy
+# 2.4), so _sweep takes the point DP when fewer than one window pair in
+# 200 is a chunk-end cell.
+_SPARSE_SHARE = 1 / 200
 
 
 def _encode(xs: tuple, ys: tuple):
@@ -107,8 +123,70 @@ def _window_ids(xs: tuple, ys: tuple, k: int):
     return gx.astype(dtype), gy.astype(dtype)
 
 
+def _chunk_end_count(xg: np.ndarray, yg: np.ndarray) -> int:
+    """r, the number of window pairs with equal ids: the chunk-end cells."""
+    sorted_ids = np.sort(yg)
+    return int(np.searchsorted(sorted_ids, xg, "right").sum() - np.searchsorted(sorted_ids, xg, "left").sum())
+
+
+def _point_dp(xg: np.ndarray, yg: np.ndarray, k: int) -> int:
+    """C[m, n] from the r chunk-end cells alone, where the length-k windows
+    match: the LCSk++ recurrence of Pavetic, Zuzic and Sikic (arXiv:1407.2407).
+
+    Rows run over the x windows.  A stable argsort of the y ids and two
+    searchsorted calls give row t its cells, the columns order[a:b] in
+    ascending order.  At cell (t, u) in window coordinates,
+
+        F(t, u) = max(k + C(t-k, u-k), F(t-1, u-1) + 1 if (t-1, u-1) is one),
+
+    the chunk_max of _sweep, and C(t', u') is the prefix maximum of F over
+    the cells up to row t' and column u'.  A row's cells settle into a
+    staircase of (column, C) steps, both ascending, k rows after they are
+    found, so each query is one bisect.  Memory: O(m + n) for the order,
+    the cells of the last k+1 rows and the staircase, at most min(m, n) + 1
+    steps.  Time: O((m + n) log n + r log min(m, n)), about 1 us per
+    chunk-end cell.
+    """
+    order = np.argsort(yg, kind="stable")
+    sorted_ids = yg[order]
+    starts, ends = np.searchsorted(sorted_ids, xg, "left"), np.searchsorted(sorted_ids, xg, "right")
+    del sorted_ids
+    rows = np.flatnonzero(ends > starts)
+    cols = memoryview(order)  # yields Python ints, 8 bytes each until then
+    steps, best = [-k], [0]  # C(t', u') = best[bisect_right(steps, u') - 1]
+    pending = deque()  # (t, {u: F(t, u)}) of the rows not yet settled
+
+    def settle(cells):
+        for u, f in cells.items():
+            p = bisect_right(steps, u)
+            if best[p - 1] < f:
+                q = bisect_right(best, f, p)  # the steps that u, f covers
+                if steps[p - 1] == u:
+                    p -= 1
+                steps[p:q], best[p:q] = [u], [f]
+
+    for t, a, b in zip(*map(memoryview, (rows, starts[rows], ends[rows]))):
+        diag = pending[-1][1] if pending and pending[-1][0] == t - 1 else {}
+        while pending and pending[0][0] <= t - k:
+            settle(pending.popleft()[1])
+        row = {}
+        for u in cols[a:b]:
+            f = k + best[bisect_right(steps, u - k) - 1]
+            d = diag.get(u - 1, 0)
+            row[u] = d + 1 if d >= f else f
+        pending.append((t, row))
+    for _, row in pending:
+        settle(row)
+    return best[-1]
+
+
 def _sweep(xg: np.ndarray, yg: np.ndarray, k: int, table=None) -> int:
     """Fill rows k..m of the score table C over the window ids; return C[m, n].
+
+    Without a table, when the chunk-end cells are fewer than _SPARSE_SHARE
+    of the window pairs, _point_dp returns C[m, n] from them alone.  Their
+    count r comes from one sort of the ids, freed before the rings are
+    allocated, so it does not raise the row loop's peak.
 
     Row i is kept with offset m + 1 - i, in a ring of k+1 score rows
     h = C + m + 1 - i, beside a ring of two chunk rows e = chunk_max +
@@ -124,6 +202,8 @@ def _sweep(xg: np.ndarray, yg: np.ndarray, k: int, table=None) -> int:
     is O(n) work of any weight.  When ``table`` is given, each finished
     row goes to table[i] without its offset, modulo 2^bits of its dtype.
     """
+    if table is None and _chunk_end_count(xg, yg) < _SPARSE_SHARE * len(xg) * len(yg):
+        return _point_dp(xg, yg, k)
     m, n = len(xg) + k - 1, len(yg) + k - 1
     h = np.empty((k + 1, n + 1), dtype=np.int32)
     h[:] = (m + 1 - np.arange(k + 1, dtype=np.int32))[:, None]  # rows 0..k score 0
@@ -149,8 +229,11 @@ def _sweep(xg: np.ndarray, yg: np.ndarray, k: int, table=None) -> int:
 
 
 def lcs_kplus_length(x, y, k: int) -> int:
-    """LCS_{k+} length in O(k * (m + n)) memory: _sweep without a table,
-    its k+1 ring rows over the longer sequence."""
+    """LCS_{k+} length, from _sweep without a table.  The r chunk-end cells
+    pick the route: below one in 1/_SPARSE_SHARE window pairs the point DP,
+    O((m + n) log n + r log min(m, n)) time and O(m + n) memory plus the
+    cells of k+1 rows; otherwise the row loop, O(mn) time and O(k * (m + n))
+    memory, its k+1 ring rows over the longer sequence."""
     return MODE.solve(x, y, k)
 
 

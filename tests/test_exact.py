@@ -1,3 +1,4 @@
+import contextlib
 import dataclasses
 import random
 import tracemalloc
@@ -7,9 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lcsk import exact
+from lcsk.bench import generate_pair
 from lcsk.core import Params, validate_alignment, walk_chunks
 from lcsk.exact import (
     DpTables,
+    _chunk_end_count,
     _sweep,
     _window_ids,
     chunk_max_table,
@@ -34,6 +38,35 @@ def planted_pairs(draw):
     i = draw(st.integers(0, len(x)))
     j = draw(st.integers(0, len(y)))
     return tuple(x[:i] + seg + x[i:]), tuple(y[:j] + seg + y[j:])
+
+
+@st.composite
+def long_planted_pairs(draw, k):
+    """Like planted_pairs, with a shared segment of 2k+1..3k+2 symbols, so
+    the chunk through it is longer than 2k."""
+    x, y = (draw(st.lists(symbols, max_size=16)) for _ in "xy")
+    seg = draw(st.lists(symbols, min_size=2 * k + 1, max_size=3 * k + 2))
+    i, j = draw(st.integers(0, len(x))), draw(st.integers(0, len(y)))
+    return tuple(x[:i] + seg + x[i:]), tuple(y[:j] + seg + y[j:])
+
+
+ROUTES = ("dense", "sparse")
+
+
+@contextlib.contextmanager
+def forced(route):
+    """Make _sweep take one route on the length path: no window pair count
+    is below a share of 0, and every one is below an infinite share."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(exact, "_SPARSE_SHARE", 0 if route == "dense" else float("inf"))
+        yield
+
+
+def _dna_pair(seed, m, n):
+    """Random ACGT strings; y starts with a copy of a third of x."""
+    rng = random.Random(seed)
+    x = "".join(rng.choice("ACGT") for _ in range(m))
+    return x, x[: m // 3] + "".join(rng.choice("ACGT") for _ in range(n - m // 3))
 
 
 def _run_walk(xs, ys, k):
@@ -168,6 +201,86 @@ class TestAgainstOracle:
                 expected = naive_lcs_kplus(x, y, k)
                 assert _sweep(*_window_ids(tuple(x), tuple(y), k), k) == expected
                 assert compute_tables(x, y, k).lengths[-1, -1] == expected
+
+
+class TestRoutes:
+    """The length path's two routes: the row loop and the point DP."""
+
+    @pytest.mark.parametrize("route", ROUTES)
+    @given(st.data())
+    @settings(max_examples=150)
+    def test_both_orders_match_naive(self, route, data):
+        k = data.draw(st.integers(1, 6))
+        xs, ys = data.draw(st.one_of(st.tuples(seqs, seqs), planted_pairs(), long_planted_pairs(k)))
+        want = naive_lcs_kplus(xs, ys, k)
+        with forced(route):
+            assert lcs_kplus_length(xs, ys, k) == lcs_kplus_length(ys, xs, k) == want
+
+    @pytest.mark.parametrize("route", ROUTES)
+    @given(seqs, seqs)
+    def test_k1_is_textbook_lcs(self, route, xs, ys):
+        with forced(route):
+            assert lcs_kplus_length(xs, ys, 1) == textbook_lcs(xs, ys)
+
+    @pytest.mark.parametrize("route", ROUTES)
+    def test_short_and_empty_inputs(self, route):
+        with forced(route):
+            for x, y, k in (("", "", 1), ("", "abc", 1), ("abc", "", 2), ("ab", "abab", 3),
+                            ("abab", "ab", 5), ("abc", "abc", 3), ("abc", "xabcx", 3)):
+                assert lcs_kplus_length(x, y, k) == naive_lcs_kplus(x, y, k)
+
+    @pytest.mark.parametrize("route", ROUTES)
+    def test_reranked_window_ids(self, route):
+        # the case of test_routes_agree_when_window_ids_are_reranked
+        rng = random.Random(11)
+        with forced(route):
+            for k in (11, 12, 14):
+                for _ in range(20):
+                    x = [rng.randrange(64) for _ in range(rng.randint(k, 60))]
+                    y = [rng.randrange(64) for _ in range(rng.randint(k, 60))]
+                    start = rng.randrange(len(x))
+                    seg = x[start : start + rng.randint(k, 2 * k)]
+                    y[: len(seg)] = seg
+                    expected = naive_lcs_kplus(x, y, k)
+                    assert lcs_kplus_length(x, y, k) == lcs_kplus_length(y, x, k) == expected
+
+    @pytest.mark.parametrize("k, sparse", [(8, True), (3, False)])
+    def test_route_follows_the_chunk_end_count(self, monkeypatch, k, sparse):
+        # sigma = 4 leaves one window pair in 4^k a chunk end: k = 8 goes
+        # sparse, and criterion 10's pair at k = 3 stays dense
+        calls = []
+        point_dp = exact._point_dp
+        monkeypatch.setattr(exact, "_point_dp", lambda *a: calls.append(a) or point_dp(*a))
+        xs, ys = generate_pair("exact", 2000, 4, 20260825)
+        length = lcs_kplus_length(xs, ys, k)
+        assert len(calls) == sparse
+        monkeypatch.setattr(exact, "_SPARSE_SHARE", float("inf") if not sparse else 0)
+        assert lcs_kplus_length(xs, ys, k) == length
+
+    def test_chunk_end_count(self):
+        rng = random.Random(3)
+        for _ in range(50):
+            k = rng.randint(1, 4)
+            x = tuple(rng.randrange(3) for _ in range(rng.randint(k, 30)))
+            y = tuple(rng.randrange(3) for _ in range(rng.randint(k, 30)))
+            runs = match_run_table(x, y)
+            assert _chunk_end_count(*_window_ids(x, y, k)) == int((runs >= k).sum())
+
+    @pytest.mark.parametrize("k, m, bound", [(8, 3000, 0.1), (3, 2000, 0.034)])
+    def test_length_peak(self, k, m, bound):
+        # the point DP holds O(m + n) ids and the cells of k+1 rows; the
+        # dense route's peak is where the count's sort cannot raise it
+        x, y = _dna_pair(k, m, m)
+        sparse = _chunk_end_count(*_window_ids(tuple(x), tuple(y), k)) < exact._SPARSE_SHARE * m * m
+        assert sparse == (k == 8)
+        tracemalloc.start()
+        try:
+            length = lcs_kplus_length(x, y, k)
+            peak = tracemalloc.get_traced_memory()[1] / (m * m)
+        finally:
+            tracemalloc.stop()
+        assert length >= m // 3
+        assert peak <= bound
 
 
 class TestTableInvariants:

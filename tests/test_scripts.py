@@ -23,3 +23,19 @@ def test_run_scaling_prints_one_block_per_k(capsys):
     for first, second in zip(lines[1::3], lines[2::3]):
         assert first.split()[0] == "n=" and "  x" not in first
         assert second.split()[0] == "n=" and second.split()[-1].startswith("x")
+
+
+def test_run_scaling_exact_takes_both_routes(capsys, monkeypatch):
+    # sigma = 4: one window pair in 16 matches at k = 2 (the row loop), about
+    # one in 65536 at k = 8 (the point DP)
+    from lcsk import exact
+
+    point_dp, ks = exact._point_dp, set()
+    monkeypatch.setattr(exact, "_point_dp", lambda xg, yg, k: ks.add(k) or point_dp(xg, yg, k))
+    main = runpy.run_path(str(SCRIPTS / "run_scaling.py"))["main"]
+    assert main(["--mode", "exact", "--n", "200,400", "--k", "2,8"]) == 0
+    assert ks == {8}
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split()[:2] for line in lines[::3]] == [["mode=exact", "k=2"], ["mode=exact", "k=8"]]
+    lengths = [int(line.split("length=")[1].split()[0]) for line in lines if "length=" in line]
+    assert lengths[0] >= lengths[2] and lengths[1] >= lengths[3]
