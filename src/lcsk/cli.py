@@ -171,7 +171,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--k", type=int, required=True, help=k_help)
         p.add_argument("--chunks", action="store_true", help="also print alignment JSON")
         if name == "exact":
-            p.add_argument("--low-mem", action="store_true", help="length only, no table; the r chunk-end cells pick the route:"
+            p.add_argument("--low-mem", action="store_true",
+                           help="length only, no table; the r chunk-end cells pick the route:"
                            " a point DP in O(m+n) memory plus k+1 rows of cells when r is"
                            " small, else the O(k*(m+n))-memory row loop")
         p.add_argument("--dump-tables", action="store_true", help=grids_help)

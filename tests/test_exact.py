@@ -55,8 +55,8 @@ ROUTES = ("dense", "sparse")
 
 @contextlib.contextmanager
 def forced(route):
-    """Make _sweep take one route on the length path: no window pair count
-    is below a share of 0, and every one is below an infinite share."""
+    """Make _sweep take one route on the length path: r < 0 * cells never
+    holds, and r < inf * cells always does."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(exact, "_SPARSE_SHARE", 0 if route == "dense" else float("inf"))
         yield
@@ -268,8 +268,9 @@ class TestRoutes:
 
     @pytest.mark.parametrize("k, m, bound", [(8, 3000, 0.1), (3, 2000, 0.034)])
     def test_length_peak(self, k, m, bound):
-        # the point DP holds O(m + n) ids and the cells of k+1 rows; the
-        # dense route's peak is where the count's sort cannot raise it
+        # the point DP holds O(m + n) ids and the cells of k+1 rows; the row
+        # loop's bound is its peak without the count, whose sorted ids are
+        # freed before the rings are allocated
         x, y = _dna_pair(k, m, m)
         sparse = _chunk_end_count(*_window_ids(tuple(x), tuple(y), k)) < exact._SPARSE_SHARE * m * m
         assert sparse == (k == 8)

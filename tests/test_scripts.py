@@ -3,6 +3,8 @@ from pathlib import Path
 
 import pytest
 
+from lcsk import exact
+
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
 
@@ -28,8 +30,6 @@ def test_run_scaling_prints_one_block_per_k(capsys):
 def test_run_scaling_exact_takes_both_routes(capsys, monkeypatch):
     # sigma = 4: one window pair in 16 matches at k = 2 (the row loop), about
     # one in 65536 at k = 8 (the point DP)
-    from lcsk import exact
-
     point_dp, ks = exact._point_dp, set()
     monkeypatch.setattr(exact, "_point_dp", lambda xg, yg, k: ks.add(k) or point_dp(xg, yg, k))
     main = runpy.run_path(str(SCRIPTS / "run_scaling.py"))["main"]
