@@ -15,8 +15,8 @@ The length path has two routes, and the count r of chunk-end cells, where
 the length-k windows match, picks one; sorting the window ids gives it.
 Below one chunk-end cell in 1/_SPARSE_SHARE window pairs,
 _point_dp computes the LCSk++ recurrence over those cells alone, in
-O((m + n) log n + r log min(m, n)) time and O(m + n) memory plus the cells
-of k+1 rows.  Otherwise the row loop runs in O(mn) time and keeps its
+O((m + n) log n + r log min(m, n)) Python steps and O(m + n) memory plus
+the cells of k+1 rows.  Otherwise the row loop runs in O(mn) time and keeps its
 rings alone, over the longer sequence: O(k * (m + n)) ints with the window
 ids.  Witnesses always take the row loop and its table: compute_tables has
 _sweep store each finished score row modulo 2^bits in
@@ -147,8 +147,9 @@ def _point_dp(xg: np.ndarray, yg: np.ndarray, k: int) -> int:
     staircase of (column, C) steps, both ascending, k rows after they are
     found, so each query is one bisect.  Memory: O(m + n) for the order,
     the cells of the last k+1 rows and the staircase, at most min(m, n) + 1
-    steps.  Time: O((m + n) log n + r log min(m, n)), about 1 us per
-    chunk-end cell.
+    steps.  Time: O((m + n) log n + r log min(m, n)) Python steps, plus a
+    list move of at most min(m, n) + 1 entries when a cell changes the
+    staircase; about 1 us per chunk-end cell.
     """
     order = np.argsort(yg, kind="stable")
     sorted_ids = yg[order]
@@ -156,7 +157,7 @@ def _point_dp(xg: np.ndarray, yg: np.ndarray, k: int) -> int:
     del sorted_ids
     rows = np.flatnonzero(ends > starts)
     cols = memoryview(order)  # yields Python ints, 8 bytes each until then
-    steps, best = [-k], [0]  # C(t', u') = best[bisect_right(steps, u') - 1]
+    steps, best = [-k], [0]  # C(t', u') = best[bisect_right(steps, u') - 1], 0 for u' < 0
     pending = deque()  # (t, {u: F(t, u)}) of the rows not yet settled
 
     def settle(cells):
@@ -234,8 +235,8 @@ def _sweep(xg: np.ndarray, yg: np.ndarray, k: int, table=None) -> int:
 def lcs_kplus_length(x, y, k: int) -> int:
     """LCS_{k+} length, from _sweep without a table.  The r chunk-end cells
     pick the route: below one in 1/_SPARSE_SHARE window pairs the point DP,
-    O((m + n) log n + r log min(m, n)) time and O(m + n) memory plus the
-    cells of k+1 rows; otherwise the row loop, O(mn) time and O(k * (m + n))
+    O((m + n) log n + r log min(m, n)) Python steps and O(m + n) memory plus
+    the cells of k+1 rows; otherwise the row loop, O(mn) time and O(k * (m + n))
     memory, its k+1 ring rows over the longer sequence."""
     return MODE.solve(x, y, k)
 
