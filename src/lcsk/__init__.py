@@ -5,7 +5,7 @@ substrings ("chunks") each of length at least k; the op variant matches
 chunks up to order-isomorphism instead of equality.  Both run in O(mn).
 """
 
-from .core import ChunkAlignment, Params, Sequence, validate_alignment
+from .core import ChunkAlignment, Params, validate_alignment
 from .exact import (
     DpTables,
     chunk_max_table,
@@ -38,7 +38,6 @@ __all__ = [
     "Params",
     "PlusMinusOneRmq",
     "PrevNextTables",
-    "Sequence",
     "SortedPositions",
     "TwoDMinHeap",
     "build_oplce_table",

@@ -7,14 +7,15 @@ be order-isomorphic.
 
 Both modes solve one recurrence that differs only in the chunk test: a
 Mode record holds each mode's steps, and Mode.solve drives every entry
-point.
+point.  Both chunk tests see the symbols only through codes, the one
+check of which symbols a mode accepts, after as_items coerces the inputs.
 """
 
 from __future__ import annotations
 
 import numbers
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable
+from typing import Any, Callable
 
 import numpy as np
 
@@ -43,18 +44,42 @@ def has_nan(values) -> bool:
     return any(has_nan(v) if isinstance(v, (tuple, frozenset)) else v != v for v in values)
 
 
-def distinct(values, mode: str) -> dict:
-    """The distinct values, as dict keys in first-seen order (reproducible
-    errors).  Both modes need them hashable and free of NaN."""
+def codes(values: tuple, mode: str) -> np.ndarray:
+    """Integer codes of the symbols of ``values``, equal iff the symbols are;
+    in op mode they are dense ranks, ordered as the values.  The one check
+    of which symbols each mode accepts.
+
+    Values that are all of type int and fit in int64 are ranked by one
+    np.unique: ints need no NaN or order check.  Others must be hashable
+    and free of NaN, bare or at any depth inside tuple and frozenset
+    values (see has_nan); exact mode codes them in first-seen order.  Op
+    mode sorts the distinct values, and each must then be below the next:
+    a partial order such as subset order on frozensets sorts, but its
+    ranks would not give order types.
+    """
+    if set(map(type, values)) == {int}:  # not bool, not an int subclass
+        try:
+            return np.unique(np.array(values, dtype=np.int64), return_inverse=True)[1]
+        except OverflowError:  # beyond int64
+            pass
     try:
-        keys = dict.fromkeys(values)
+        keys = dict.fromkeys(values)  # first-seen order: reproducible errors
     except TypeError as exc:  # e.g. list values
         what = "symbols" if mode == "exact" else "values"
         raise TypeError(f"{mode} mode needs hashable {what}: {exc}") from None
     if has_nan(keys):
         what = "symbols equal to themselves" if mode == "exact" else "totally ordered values"
         raise ValueError(f"{mode} mode needs {what}; got NaN")
-    return keys
+    if mode == "op":
+        try:
+            keys = sorted(keys)
+            bad = next((pair for pair in zip(keys, keys[1:]) if not pair[0] < pair[1]), None)
+        except TypeError as exc:  # e.g. str next to int
+            raise TypeError(f"op mode needs mutually comparable values: {exc}") from None
+        if bad:
+            raise TypeError("op mode needs totally ordered values: %r < %r is false" % bad)
+    code = {v: c for c, v in enumerate(keys)}
+    return np.array([code[v] for v in values], dtype=np.int64)
 
 
 def table_dtype(bound: int):
@@ -75,9 +100,7 @@ def zeros_table(rows: int, cols: int, dtype) -> np.ndarray:
 
 
 def as_items(seq: Any) -> tuple:
-    """Coerce str/bytes/list/tuple/ndarray/Sequence into a plain tuple of symbols."""
-    if isinstance(seq, Sequence):
-        return seq.items
+    """Coerce str/bytes/list/tuple/ndarray into a plain tuple of symbols."""
     if isinstance(seq, tuple):
         return seq
     if isinstance(seq, str):
@@ -87,29 +110,6 @@ def as_items(seq: Any) -> tuple:
             raise ValueError(f"sequences must be one-dimensional, got ndim={seq.ndim}")
         return tuple(seq.tolist())
     return tuple(seq)
-
-
-@dataclass(frozen=True)
-class Sequence:
-    """An immutable sequence of equatable (and, for op mode, orderable) symbols."""
-
-    items: tuple
-
-    @classmethod
-    def of(cls, values: Iterable) -> "Sequence":
-        return cls(as_items(values))
-
-    def __len__(self) -> int:
-        return len(self.items)
-
-    def __iter__(self):
-        return iter(self.items)
-
-    def at(self, i: int):
-        """1-based access, matching the indexing convention of the recurrences."""
-        if not 1 <= i <= len(self.items):
-            raise IndexError(f"position {i} out of range 1..{len(self.items)}")
-        return self.items[i - 1]
 
 
 @dataclass(frozen=True)

@@ -34,24 +34,13 @@ from collections import deque
 
 import numpy as np
 
-from .core import ChunkAlignment, DpState, Mode, as_items, distinct, score_test, walk_chunks
+from .core import ChunkAlignment, DpState, Mode, as_items, codes, score_test, walk_chunks
 
 # The length path's row loop costs about 5 ns per cell, and _point_dp
 # about 1 us per chunk-end cell (2-core x86-64 VM, CPython 3.11, numpy
 # 2.4), so _sweep takes the point DP when fewer than one window pair in
 # 200 is a chunk-end cell.
 _SPARSE_SHARE = 1 / 200
-
-
-def _encode(xs: tuple, ys: tuple):
-    """Map symbols of both sequences onto small ints for fast numpy equality.
-
-    NaN, bare or inside a tuple or frozenset, is rejected (core.distinct):
-    a dict matches one shared NaN object by identity but not two distinct
-    ones, so the answer would depend on object identity.
-    """
-    codes = {v: c for c, v in enumerate(distinct(xs + ys, "exact"))}
-    return tuple(np.array([codes[v] for v in seq], dtype=np.int32) for seq in (xs, ys))
 
 
 DpTables = DpState  # the witness state, with the ids of _window_ids
@@ -61,7 +50,7 @@ def match_run_table(x, y) -> np.ndarray:
     """Longest-common-suffix-run table: run[i, j] = lcs-run of x(1:i) vs y(1:j)."""
     xs, ys = as_items(x), as_items(y)
     m, n = len(xs), len(ys)
-    xa, ya = _encode(xs, ys)
+    xa, ya = np.split(codes(xs + ys, "exact"), [m])
     run = np.zeros((m + 1, n + 1), dtype=np.int32)
     for i in range(1, m + 1):
         eq = ya == xa[i - 1]
@@ -101,15 +90,15 @@ def _window_ids(xs: tuple, ys: tuple, k: int):
     and y_{t+1}, so a chunk can end at (i, j) iff x_ids[i-k] == y_ids[j-k].
     Both are empty when min(m, n) < k.
 
-    Symbols are encoded as codes below s, so each extra symbol multiplies
-    the id range by s; ids are re-ranked with np.unique before they could
-    overflow int64.
+    core.codes gives the symbols codes below s, so each extra symbol
+    multiplies the id range by s; ids are re-ranked with np.unique before
+    they could overflow int64.
     """
-    xa, ya = _encode(xs, ys)
+    xa, ya = np.split(codes(xs + ys, "exact"), [len(xs)])
     if min(len(xa), len(ya)) < k:
         return xa[:0], ya[:0]
     s = int(max(xa.max(), ya.max())) + 1
-    gx, gy = xa.astype(np.int64), ya.astype(np.int64)
+    gx, gy = xa, ya
     span = s
     for t in range(1, k):
         if span * s >= 1 << 62:
@@ -136,7 +125,8 @@ def _point_dp(xg: np.ndarray, yg: np.ndarray, k: int) -> int:
     match: the LCSk++ recurrence of Pavetic, Zuzic and Sikic (arXiv:1407.2407).
 
     Rows run over the x windows.  A stable argsort of the y ids and two
-    searchsorted calls give row t its cells, the columns order[a:b] in
+    searchsorted calls, on the x ids in sorted order as in
+    _chunk_end_count, give row t its cells, the columns order[a:b] in
     ascending order.  At cell (t, u) in window coordinates,
 
         F(t, u) = max(k + C(t-k, u-k), F(t-1, u-1) + 1),
@@ -151,10 +141,12 @@ def _point_dp(xg: np.ndarray, yg: np.ndarray, k: int) -> int:
     list move of at most min(m, n) + 1 entries when a cell changes the
     staircase; about 1 us per chunk-end cell.
     """
-    order = np.argsort(yg, kind="stable")
-    sorted_ids = yg[order]
-    starts, ends = np.searchsorted(sorted_ids, xg, "left"), np.searchsorted(sorted_ids, xg, "right")
-    del sorted_ids
+    order, x_order = np.argsort(yg, kind="stable"), np.argsort(xg)
+    sorted_ids, x_sorted = yg[order], xg[x_order]
+    starts, ends = np.empty_like(x_order), np.empty_like(x_order)
+    starts[x_order] = np.searchsorted(sorted_ids, x_sorted, "left")
+    ends[x_order] = np.searchsorted(sorted_ids, x_sorted, "right")
+    del sorted_ids, x_order, x_sorted
     rows = np.flatnonzero(ends > starts)
     cols = memoryview(order)  # yields Python ints, 8 bytes each until then
     steps, best = [-k], [0]  # C(t', u') = best[bisect_right(steps, u') - 1], 0 for u' < 0

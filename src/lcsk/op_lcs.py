@@ -58,7 +58,7 @@ from __future__ import annotations
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from .core import ChunkAlignment, DpState, Mode, distinct, table_dtype, walk_chunks
+from .core import ChunkAlignment, DpState, Mode, codes, table_dtype, walk_chunks
 
 # A group of row blocks shares one window-id comparison and one slide of
 # the row buffer.  A block's masks take k entries per row and column;
@@ -80,32 +80,6 @@ _INT32_MAX = np.iinfo(np.int32).max
 OpDpState = DpState  # the witness state, with the ids of _window_ids
 
 
-def _ranks(values: tuple) -> np.ndarray:
-    """Dense ranks of hashable, totally ordered, NaN-free values.
-
-    Values that are all of type int and fit in int64 are ranked by one
-    np.unique: ints need no NaN or order check.  Otherwise only the
-    distinct values (core.distinct) are sorted.  Each must then be below
-    the next: a partial order such as subset order on frozensets sorts,
-    but its ranks would not give order types.
-    """
-    if set(map(type, values)) == {int}:  # not bool, not an int subclass
-        try:
-            return np.unique(np.array(values, dtype=np.int64), return_inverse=True)[1]
-        except OverflowError:  # beyond int64
-            pass
-    keys = distinct(values, "op")
-    try:
-        order = sorted(keys)
-        bad = next((pair for pair in zip(order, order[1:]) if not pair[0] < pair[1]), None)
-    except TypeError as exc:  # e.g. str next to int
-        raise TypeError(f"op mode needs mutually comparable values: {exc}") from None
-    if bad:
-        raise TypeError("op mode needs totally ordered values: %r < %r is false" % bad)
-    rank = {v: r for r, v in enumerate(order)}
-    return np.array([rank[v] for v in values], dtype=np.int64)
-
-
 def _window_ids(xs: tuple, ys: tuple, k: int):
     """Order-type ids of the windows of lengths k..2k-1 of xs and ys.
 
@@ -114,7 +88,8 @@ def _window_ids(xs: tuple, ys: tuple, k: int):
     x_ids and -2 in y_ids, so they match nothing.  When min(m, n) < k no
     chunk fits, and both have no rows.
 
-    The type of the length-w window ending at e is the type of the
+    Values are compared through their ranks, core.codes in op mode.  The
+    type of the length-w window ending at e is the type of the
     length-(w-1) window ending at e-1 plus the place of the value at e
     among that window's values: how many are smaller (0..w-1) and whether
     one is equal.  Both grow by one comparison per w, and id * 2w + 2 *
@@ -124,7 +99,7 @@ def _window_ids(xs: tuple, ys: tuple, k: int):
     store checks.
     """
     m, n = len(xs), len(ys)
-    r = _ranks(xs + ys)
+    r = codes(xs + ys, "op")  # dense ranks
     if min(m, n) < k:  # no chunk fits: the sweep, the walk and the grids read no ids
         return np.empty((0, m + 1), dtype=np.int32), np.empty((0, n + 1), dtype=np.int32)
     ids = np.zeros(m + n, dtype=np.int64)  # length 1: one type

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import lcsk.core
 from lcsk.bench import generate_pair, run_cells
 from lcsk.cli import _read_op_file, main
 from lcsk.core import ChunkAlignment, Params, validate_alignment
@@ -201,6 +202,15 @@ class TestExact(BothModes):
         code, out, _ = run(capsys, ["exact", x, y, "--k", "2", "--dump-tables"])
         assert code == 0
         assert out == EX_DUMP_K2
+
+    def test_bytes_take_the_int_path(self, files, capsys, monkeypatch):
+        # file bytes arrive as a tuple of ints, which core.codes ranks with
+        # np.unique; only its general path checks for NaN
+        monkeypatch.setattr(lcsk.core, "has_nan", lambda *a: pytest.fail("general path"))
+        x, y = files("x", EX_X), files("y", EX_Y)
+        for flags in ([], ["--low-mem"], ["--chunks", "--dump-tables"]):
+            code, out, _ = run(capsys, ["exact", x, y, "--k", "2", *flags])
+            assert code == 0 and out.startswith("5\n")
 
     def test_low_mem_rejects_chunks(self, files, capsys):
         x, y = files("x", "ab"), files("y", "ab")

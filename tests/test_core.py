@@ -11,7 +11,6 @@ from lcsk import exact, op_lcs
 from lcsk.core import (
     ChunkAlignment,
     Params,
-    Sequence,
     as_items,
     check_k,
     validate_alignment,
@@ -23,28 +22,14 @@ MODES = {"exact": exact.MODE, "op": op_lcs.MODE}
 
 class TestSequence:
     def test_of_coerces_common_containers(self):
-        assert Sequence.of("abc").items == ("a", "b", "c")
-        assert Sequence.of(b"ab").items == (97, 98)
-        assert Sequence.of([1, 2]).items == (1, 2)
-        arr = Sequence.of(np.array([3, 1]))
-        assert arr.items == (3, 1)
-        assert all(isinstance(v, int) for v in arr.items)  # unboxed scalars
-
-    def test_one_based_access(self):
-        s = Sequence.of("xyz")
-        assert s.at(1) == "x" and s.at(3) == "z"
-        with pytest.raises(IndexError):
-            s.at(0)
-        with pytest.raises(IndexError):
-            s.at(4)
-
-    def test_len_and_iter(self):
-        s = Sequence.of((5, 6))
-        assert len(s) == 2 and list(s) == [5, 6]
+        assert as_items("abc") == ("a", "b", "c")
+        assert as_items(b"ab") == (97, 98)
+        assert as_items([1, 2]) == (1, 2)
+        arr = as_items(np.array([3, 1]))
+        assert arr == (3, 1)
+        assert all(isinstance(v, int) for v in arr)  # unboxed scalars
 
     def test_as_items_passthrough(self):
-        s = Sequence.of("ab")
-        assert as_items(s) is s.items
         t = (1, 2)
         assert as_items(t) is t
 

@@ -7,10 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import lcsk.core
 import lcsk.op_lcs
-from lcsk.core import Params, table_dtype, validate_alignment, walk_chunks
+from lcsk.core import Params, codes, table_dtype, validate_alignment, walk_chunks
+from lcsk.exact import lcs_kplus_length
 from lcsk.op_lcs import OpDpState, op_lcs_kplus_length, op_lcs_kplus_state, op_traceback
-from lcsk.oracles import naive_op_lcs_kplus
+from lcsk.oracles import naive_lcs_kplus, naive_op_lcs_kplus
 from lcsk.order_iso import build_oplce_table
 
 EX_X = (14, 84, 82, 31, 74, 68, 87, 11, 20, 32)
@@ -480,13 +482,21 @@ class TestRanksAndIds:
 
     @given(st.lists(ints, min_size=1, max_size=40))
     def test_int_path_gives_the_general_ranks(self, values):
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(lcsk.op_lcs, "distinct", lambda *a: pytest.fail("general path"))
-            fast = lcsk.op_lcs._ranks(tuple(values))
-        general = lcsk.op_lcs._ranks(tuple(map(_Int, values)))
-        assert fast.dtype == general.dtype == np.int64
-        assert np.array_equal(fast, general)
-        assert np.array_equal(general, [sorted(set(values)).index(v) for v in values])
+        # both modes: op codes are the ranks, exact codes split the values
+        # into the same classes as the first-seen codes of the general path
+        ranks = [sorted(set(values)).index(v) for v in values]
+        first_seen = [list(dict.fromkeys(values)).index(v) for v in values]
+        for mode, want in (("op", ranks), ("exact", first_seen)):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(lcsk.core, "has_nan", lambda *a: pytest.fail("general path"))
+                fast = codes(tuple(values), mode)
+            general = codes(tuple(map(_Int, values)), mode)
+            assert fast.dtype == general.dtype == np.int64
+            assert np.array_equal(general, want)
+            if mode == "op":
+                assert np.array_equal(fast, general)
+            else:  # the same classes: the codes correspond one to one
+                assert len(set(zip(fast.tolist(), want))) == len(set(want)) == len(set(fast.tolist()))
 
     @pytest.mark.parametrize("f", [
         lambda v: v + 2**63,  # beyond int64
@@ -495,23 +505,27 @@ class TestRanksAndIds:
         lambda v: v if v > 1 else v == 1,  # ints and bools
     ], ids=["above-int64", "below-int64", "bool", "int-bool-mix"])
     def test_other_values_take_the_general_path(self, monkeypatch, f):
+        # both modes, each solve checks its values once on the general path
         calls = []
+        has_nan = lcsk.core.has_nan
 
-        def spy(values, mode):
-            calls.append(mode)
-            return lcsk.core.distinct(values, mode)
+        def spy(values):
+            calls.append(len(values))
+            return has_nan(values)
 
-        monkeypatch.setattr(lcsk.op_lcs, "distinct", spy)
+        monkeypatch.setattr(lcsk.core, "has_nan", spy)
+        solvers = ((op_lcs_kplus_length, naive_op_lcs_kplus), (lcs_kplus_length, naive_lcs_kplus))
         rng = random.Random(63)
         for _ in range(30):
             xs = [rng.randint(0, 3) for _ in range(rng.randint(0, 12))] + [rng.randint(0, 1)]
             ys = [rng.randint(0, 3) for _ in range(rng.randint(0, 12))]
             k = rng.randint(2, 4)
             fx, fy = [f(v) for v in xs], [f(v) for v in ys]
-            calls.clear()
-            got = op_lcs_kplus_length(fx, fy, k)
-            assert calls == ["op"]
-            assert got == naive_op_lcs_kplus(tuple(fx), tuple(fy), k)
+            for solve, oracle in solvers:
+                calls.clear()
+                got = solve(fx, fy, k)
+                assert len(calls) == 1
+                assert got == oracle(tuple(fx), tuple(fy), k)
 
     def test_id_store_refuses_ids_beyond_int32(self, monkeypatch):
         # an increasing run of 12 at k=6: the length-11 ids pass 2^31 unless
