@@ -115,16 +115,14 @@ def cmd_solve(ns: argparse.Namespace) -> int:
     if ns.dump_tables and max(len(xs), len(ys)) > _DUMP_LIMIT:
         print(f"--dump-tables needs inputs of length <= {_DUMP_LIMIT}", file=sys.stderr)
         return 2
-    if not witness:
-        lines = [str(mode.solve(xs, ys, ns.k))]
+    if ns.chunks:
+        alignment = mode.align(xs, ys, ns.k)
+        lines = [str(alignment.total), json.dumps(alignment.to_json(), separators=(",", ":"))]
     else:
+        lines = [str(mode.solve(xs, ys, ns.k))]
+    if ns.dump_tables:  # inputs of at most _DUMP_LIMIT symbols: the table again is cheap
         state = mode.solve(xs, ys, ns.k, witness=True)
-        lines = [str(state.length)]
-        if ns.chunks:
-            alignment = mode.walk(state, xs, ys, ns.k)
-            lines.append(json.dumps(alignment.to_json(), separators=(",", ":")))
-        if ns.dump_tables:
-            lines += [_grid(*grid, xs, ys, symbol) for grid in grids(state, xs, ys, ns.k)]
+        lines += [_grid(*grid, xs, ys, symbol) for grid in grids(state, xs, ys, ns.k)]
     with _out(ns.out) as fh:
         fh.write("\n".join(lines) + "\n")
     return 0

@@ -240,19 +240,23 @@ def walk_chunks(scores: np.ndarray, total: int, k: int, chunk_lengths) -> ChunkA
 
 @dataclass(frozen=True)
 class Mode:
-    """A matching mode's steps, and solve, the one driver that runs them.
+    """A matching mode's steps, and the two drivers that run them: solve
+    for lengths and witness tables, align for witnesses.
 
     window_ids(xs, ys, k) checks the symbols of two tuples and gives ids
     to their windows, equal where a chunk can end; sweep(x_ids, y_ids, k,
     table) returns C[m, n] and fills ``table`` with C modulo 2^bits of
     its dtype, unless it is None; walk(state, x, y, k) reads a DpState
-    back into a ChunkAlignment.
+    back into a ChunkAlignment.  point_walk(x_ids, y_ids, k), if the mode
+    has one, gives walk's alignment from the chunk-end cells alone, or
+    None to leave it to the table.
     """
 
     name: str
     window_ids: Callable
     sweep: Callable
     walk: Callable
+    point_walk: Callable | None = None
 
     def solve(self, x, y, k, witness: bool = False):
         """C[m, n], or with ``witness`` the DpState walk reads; the length
@@ -260,15 +264,37 @@ class Mode:
         run over the shorter input, over x when m == n: for m > n the sweep
         solves (y, x) into the transpose of the table, and the ids are
         swapped back."""
+        k, xs, ys, ids = self._ids(x, y, k)
+        if witness:
+            return self._state(xs, ys, k, ids)
+        return self.sweep(*ids, k, None) if min(len(xs), len(ys)) >= k else 0
+
+    def align(self, x, y, k) -> ChunkAlignment:
+        """walk's alignment of solve's witness state: the witness driver.
+        point_walk, given the window ids in the (x, y) frame, gives it
+        without the (m+1) x (n+1) table when the mode's chunk-end cells
+        are few enough."""
+        k, xs, ys, ids = self._ids(x, y, k)
+        m, n = len(xs), len(ys)
+        if self.point_walk is not None and min(m, n) >= k:
+            alignment = self.point_walk(*(ids[::-1] if m > n else ids), k)
+            if alignment is not None:
+                return alignment
+        return self.walk(self._state(xs, ys, k, ids), xs, ys, k)
+
+    def _ids(self, x, y, k):
+        """The checked k, both symbol tuples, and the window ids with the
+        shorter input first."""
         k = check_k(k, self.name)
         xs, ys = as_items(x), as_items(y)
+        return k, xs, ys, self.window_ids(*((ys, xs) if len(xs) > len(ys) else (xs, ys)), k)
+
+    def _state(self, xs: tuple, ys: tuple, k: int, ids) -> DpState:
         m, n = len(xs), len(ys)
         flip = m > n
-        ids = self.window_ids(*((ys, xs) if flip else (xs, ys)), k)
-        table = zeros_table(m + 1, n + 1, table_dtype(k)) if witness else None  # rows < k score 0
-        length = self.sweep(*ids, k, table.T if flip and witness else table) if min(m, n) >= k else 0
-        x_ids, y_ids = ids[::-1] if flip else ids
-        return DpState(k, length, table, x_ids, y_ids) if witness else length
+        table = zeros_table(m + 1, n + 1, table_dtype(k))  # rows < k score 0
+        length = self.sweep(*ids, k, table.T if flip else table) if min(m, n) >= k else 0
+        return DpState(k, length, table, *(ids[::-1] if flip else ids))
 
 
 def validate_alignment(x, y, params: Params, alignment: ChunkAlignment) -> bool:

@@ -29,12 +29,13 @@ of the score table and match_run_table, for display and tests.
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from array import array
+from bisect import bisect_left, bisect_right
 from collections import deque
 
 import numpy as np
 
-from .core import ChunkAlignment, DpState, Mode, as_items, codes, score_test, walk_chunks
+from .core import ChunkAlignment, DpState, Mode, as_items, codes, score_test, table_dtype, walk_chunks
 
 # The length path's row loop costs about 5 ns per cell, and _point_dp
 # about 1 us per chunk-end cell (2-core x86-64 VM, CPython 3.11, numpy
@@ -120,14 +121,27 @@ def _chunk_end_count(xg: np.ndarray, yg: np.ndarray) -> int:
     return int(right - left)
 
 
-def _point_dp(xg: np.ndarray, yg: np.ndarray, k: int) -> int:
+def _row_cells(xg: np.ndarray, yg: np.ndarray):
+    """The chunk-end cells row by row, in window coordinates: row rows[q] of
+    the x windows meets the columns order[starts[q]:ends[q]], in ascending
+    order.  A stable argsort of the y ids and two searchsorted calls, on the
+    x ids in sorted order as in _chunk_end_count, give them in O(m + n)
+    memory."""
+    order, x_order = np.argsort(yg, kind="stable"), np.argsort(xg)
+    sorted_ids, x_sorted = yg[order], xg[x_order]
+    starts, ends = np.empty_like(x_order), np.empty_like(x_order)
+    starts[x_order] = np.searchsorted(sorted_ids, x_sorted, "left")
+    ends[x_order] = np.searchsorted(sorted_ids, x_sorted, "right")
+    rows = np.flatnonzero(ends > starts)
+    return rows, starts[rows], ends[rows], order
+
+
+def _point_dp(cells, k: int, scores=None) -> int:
     """C[m, n] from the r chunk-end cells alone, where the length-k windows
     match: the LCSk++ recurrence of Pavetic, Zuzic and Sikic (arXiv:1407.2407).
 
-    Rows run over the x windows.  A stable argsort of the y ids and two
-    searchsorted calls, on the x ids in sorted order as in
-    _chunk_end_count, give row t its cells, the columns order[a:b] in
-    ascending order.  At cell (t, u) in window coordinates,
+    Rows run over the x windows, and _row_cells gives each row its cells.
+    At cell (t, u) in window coordinates,
 
         F(t, u) = max(k + C(t-k, u-k), F(t-1, u-1) + 1),
 
@@ -135,19 +149,14 @@ def _point_dp(xg: np.ndarray, yg: np.ndarray, k: int) -> int:
     is a chunk-end cell too, and C(t', u') is the prefix maximum of F over
     the cells up to row t' and column u'.  A row's cells settle into a
     staircase of (column, C) steps, both ascending, k rows after they are
-    found, so each query is one bisect.  Memory: O(m + n) for the order,
-    the cells of the last k+1 rows and the staircase, at most min(m, n) + 1
-    steps.  Time: O((m + n) log n + r log min(m, n)) Python steps, plus a
-    list move of at most min(m, n) + 1 entries when a cell changes the
-    staircase; about 1 us per chunk-end cell.
+    found, so each query is one bisect.  ``scores``, an array('q') if
+    given, receives F of every cell in row-major order, for _point_walk.
+    Memory: O(m + n) for the cells, those of the last k+1 rows and the
+    staircase, at most min(m, n) + 1 steps.  Time: O((m + n) log n + r log
+    min(m, n)) Python steps, plus a list move of at most min(m, n) + 1
+    entries when a cell changes the staircase; about 1 us per chunk-end cell.
     """
-    order, x_order = np.argsort(yg, kind="stable"), np.argsort(xg)
-    sorted_ids, x_sorted = yg[order], xg[x_order]
-    starts, ends = np.empty_like(x_order), np.empty_like(x_order)
-    starts[x_order] = np.searchsorted(sorted_ids, x_sorted, "left")
-    ends[x_order] = np.searchsorted(sorted_ids, x_sorted, "right")
-    del sorted_ids, x_order, x_sorted
-    rows = np.flatnonzero(ends > starts)
+    rows, starts, ends, order = cells
     cols = memoryview(order)  # yields Python ints, 8 bytes each until then
     steps, best = [-k], [0]  # C(t', u') = best[bisect_right(steps, u') - 1], 0 for u' < 0
     pending = deque()  # (t, {u: F(t, u)}) of the rows not yet settled
@@ -161,7 +170,7 @@ def _point_dp(xg: np.ndarray, yg: np.ndarray, k: int) -> int:
                     p -= 1
                 steps[p:q], best[p:q] = [u], [f]
 
-    for t, a, b in zip(*map(memoryview, (rows, starts[rows], ends[rows]))):
+    for t, a, b in zip(*map(memoryview, (rows, starts, ends))):
         diag = pending[-1][1] if pending and pending[-1][0] == t - 1 else {}
         while pending and pending[0][0] <= t - k:
             settle(pending.popleft()[1])
@@ -171,9 +180,78 @@ def _point_dp(xg: np.ndarray, yg: np.ndarray, k: int) -> int:
             d = diag.get(u - 1, 0)
             row[u] = d + 1 if d >= f else f
         pending.append((t, row))
+        if scores is not None:
+            scores.extend(row.values())
     for _, row in pending:
         settle(row)
     return best[-1]
+
+
+def _sparse(xg: np.ndarray, yg: np.ndarray) -> bool:
+    """Whether the chunk-end cells are fewer than _SPARSE_SHARE of the window
+    pairs, so that the point DP beats the row loop."""
+    return _chunk_end_count(xg, yg) < _SPARSE_SHARE * len(xg) * len(yg)
+
+
+def _point_walk(xg: np.ndarray, yg: np.ndarray, k: int):
+    """traceback's alignment from the chunk-end cells alone, in O(m + n + r)
+    memory, or None when they are not sparse (see _sparse): then the
+    witness takes the table.  xg and yg are the window ids in the caller's
+    (x, y) frame, so that left before up means what it means in the table.
+
+    _point_dp keeps F of every cell.  C(t, u) is the largest F over the
+    cells up to row t and column u, and F <= C at every cell, so the table
+    walk from (t, u) at score s = C(t, u) goes left along row t while C
+    stays s, down to jl, the leftmost column of a cell with F == s in rows
+    <= t (every cell with F > s there lies right of u).  It takes a chunk
+    at the first cell with F == s it meets: the rightmost such cell of row
+    t up to column u, or else, climbing column jl, the nearest such cell
+    above.  Cells grouped by F, then by row, answer both with a few
+    searchsorted calls over the group of s, and s falls at every chunk,
+    so the walk reads each cell at most once.
+
+    The chunk taken at a cell (t, u) with F == s is traceback's longest:
+    k + d for the largest d such that each of the cells (t-e, u-e), e <= d,
+    is a chunk-end cell with F == s - e.  Such a run of cells ends where
+    the k-term k + C(t-d-k, u-d-k) gives F, so a chunk of length k + d
+    starts there; further down the diagonal F falls by more than one per
+    cell, and no longer chunk reproduces s.
+    """
+    if not _sparse(xg, yg):
+        return None
+    cells = _row_cells(xg, yg)
+    scores = array("q")
+    total = _point_dp(cells, k, scores)
+    rows, starts, ends, order = cells
+    counts = ends - starts
+    ct = np.repeat(rows, counts)  # the cells in row-major order
+    cu = order[np.arange(len(ct)) + np.repeat(starts - np.cumsum(counts) + counts, counts)]
+    cf = np.frombuffer(scores, dtype=np.int64)
+    keys = ct * len(yg) + cu  # ascending
+    back = keys - len(yg) - 1  # the keys of (t-1, u-1)
+    up = np.searchsorted(keys, back)
+    extends = (keys[up] == back) & (cu > 0) & (cf[up] == cf - 1)
+    by_score = np.argsort(cf.astype(table_dtype(total)), kind="stable")  # by F, row, column; radix
+    groups = np.searchsorted(cf[by_score], np.arange(total + 2)).tolist()
+    gt, gu, by_score, up, extends = map(memoryview, (ct[by_score], cu[by_score], by_score, up, extends))
+    chunks = []
+    t, u, s = len(xg) - 1, len(yg) - 1, total
+    while s:
+        lo, hi = groups[s], groups[s + 1]  # the cells with F == s
+        a = bisect_left(gt, t, lo, hi)
+        b = bisect_right(gu, u, a, bisect_right(gt, t, a, hi))
+        if b > a:  # row t's rightmost cell up to column u
+            i = b - 1
+        else:  # the nearest cell above in column jl
+            cols = gu[lo:a].tolist()
+            i = lo + len(cols) - 1 - cols[::-1].index(min(cols))
+        t, u, p, d = gt[i], gu[i], by_score[i], 0
+        while extends[p]:  # down the diagonal while F falls by one per cell
+            p, d = up[p], d + 1
+        chunks.append((t - d + 1, u - d + 1, k + d))
+        t, u, s = t - d - k, u - d - k, s - k - d
+    chunks.reverse()
+    return ChunkAlignment(total=total, chunks=tuple(chunks))
 
 
 def _sweep(xg: np.ndarray, yg: np.ndarray, k: int, table=None) -> int:
@@ -198,8 +276,8 @@ def _sweep(xg: np.ndarray, yg: np.ndarray, k: int, table=None) -> int:
     is O(n) work of any weight.  When ``table`` is given, each finished
     row goes to table[i] without its offset, modulo 2^bits of its dtype.
     """
-    if table is None and _chunk_end_count(xg, yg) < _SPARSE_SHARE * len(xg) * len(yg):
-        return _point_dp(xg, yg, k)
+    if table is None and _sparse(xg, yg):
+        return _point_dp(_row_cells(xg, yg), k)
     m, n = len(xg) + k - 1, len(yg) + k - 1
     h = np.empty((k + 1, n + 1), dtype=np.int32)
     h[:] = (m + 1 - np.arange(k + 1, dtype=np.int32))[:, None]  # rows 0..k score 0
@@ -288,4 +366,4 @@ def traceback(tables: DpTables, x, y, k: int) -> ChunkAlignment:
     return walk_chunks(tables.scores, tables.length, k, chunk_lengths)
 
 
-MODE = Mode("exact", _window_ids, _sweep, walk=traceback)
+MODE = Mode("exact", _window_ids, _sweep, walk=traceback, point_walk=_point_walk)

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import lcsk.core
+import lcsk.exact
 from lcsk.bench import generate_pair, run_cells
 from lcsk.cli import _read_op_file, main
 from lcsk.core import ChunkAlignment, Params, validate_alignment
@@ -211,6 +212,29 @@ class TestExact(BothModes):
         for flags in ([], ["--low-mem"], ["--chunks", "--dump-tables"]):
             code, out, _ = run(capsys, ["exact", x, y, "--k", "2", *flags])
             assert code == 0 and out.startswith("5\n")
+
+    @pytest.mark.parametrize("share", [0, float("inf")])
+    def test_output_is_the_same_on_either_route(self, files, capsys, monkeypatch, share):
+        # exit code, stdout and stderr with every flag set, with the route
+        # the chunk-end count picks and with the row loop or the point route
+        # forced (r < 0 * cells never holds, r < inf * cells always does)
+        rng = random.Random(12)
+        texts = [(EX_X, EX_Y), ("", "ab"), ("ab", "abab"), ("ab" * 20, "ba" * 25)]
+        for _ in range(6):
+            x = "".join(rng.choice("acgt") for _ in range(rng.randint(0, 60)))
+            y = x[rng.randint(0, 20):] + "".join(rng.choice("acgt") for _ in range(rng.randint(0, 30)))
+            texts.append((x, y))
+        flag_sets = ([], ["--chunks"], ["--dump-tables"], ["--chunks", "--dump-tables"], ["--low-mem"],
+                     ["--quiet"], ["--chunks", "--quiet"], ["--low-mem", "--chunks"])
+        for i, (text_x, text_y) in enumerate(texts):
+            x, y = files(f"x{i}", text_x), files(f"y{i}", text_y)
+            for k in (1, 2, 3, 5):
+                for flags in flag_sets:
+                    argv = ["exact", x, y, "--k", str(k), *flags]
+                    natural = run(capsys, argv)
+                    with monkeypatch.context() as mp:
+                        mp.setattr(lcsk.exact, "_SPARSE_SHARE", share)
+                        assert run(capsys, argv) == natural
 
     def test_low_mem_rejects_chunks(self, files, capsys):
         x, y = files("x", "ab"), files("y", "ab")

@@ -8,8 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lcsk import exact
+from lcsk import core, exact
 from lcsk.bench import generate_pair
+from lcsk.cli import main
 from lcsk.core import Params, validate_alignment, walk_chunks
 from lcsk.exact import (
     DpTables,
@@ -282,6 +283,90 @@ class TestRoutes:
             tracemalloc.stop()
         assert length >= m // 3
         assert peak <= bound
+
+
+def _align(xs, ys, k, route):
+    """The witness driver's alignment with its route forced (see forced)."""
+    with forced(route):
+        return exact.MODE.align(xs, ys, k)
+
+
+def _table_walk(xs, ys, k):
+    return traceback(compute_tables(xs, ys, k), xs, ys, k)
+
+
+class TestPointWalk:
+    """Mode.align's point route gives traceback's chunks, byte for byte."""
+
+    @pytest.mark.parametrize("route", ROUTES)
+    @given(st.data())
+    @settings(max_examples=300)
+    def test_same_chunks_as_traceback(self, route, data):
+        k = data.draw(st.integers(1, 8))
+        pair = data.draw(st.one_of(st.tuples(seqs, seqs), planted_pairs(), long_planted_pairs(k)))
+        for xs, ys in (pair, pair[::-1]):
+            got = _align(xs, ys, k, route)
+            assert got == _table_walk(xs, ys, k)
+            assert validate_alignment(xs, ys, Params(k=k), got)
+            assert all(type(v) is int for chunk in got.chunks for v in chunk)  # JSON-ready
+
+    @pytest.mark.parametrize("k", range(1, 9))
+    def test_periodic_and_equal_strings(self, k):
+        # many cells tie on F, so which of them the walk takes is decided by
+        # left before up and the longest chunk alone
+        cases = (("a" * 20, "a" * 13), ("ab" * 11, "ab" * 7 + "b"), ("abc" * 8, "bca" * 9),
+                 ("aab" * 9, "ab" * 12), ("a" * 9 + "b" + "a" * 9, "a" * 25),
+                 ("abab" * 6 + "c" + "abab" * 3, "ab" * 10 + "c" + "ab" * 5))
+        for x, y in cases:
+            for xs, ys in ((x, y), (y, x)):
+                got = _align(xs, ys, k, "sparse")
+                assert got == _table_walk(xs, ys, k)
+                assert validate_alignment(xs, ys, Params(k=k), got)
+
+    @pytest.mark.parametrize("route", ROUTES)
+    def test_short_and_empty_inputs(self, route):
+        for x, y, k in (("", "", 1), ("", "abc", 1), ("abc", "", 2), ("ab", "abab", 3), ("abab", "ab", 5),
+                        ("abc", "abc", 3), ("abc", "xabcx", 3), ("a", "a", 1), ("ab", "ba", 1)):
+            assert _align(x, y, k, route) == _table_walk(x, y, k)
+
+    def test_point_route_keeps_no_table(self, monkeypatch):
+        x, y = _dna_pair(1, 300, 200)
+        cases = [(xs, ys, k, _table_walk(xs, ys, k)) for xs, ys, k in ((x, y, 4), (y, x, 4), (x, x, 2))]
+        monkeypatch.setattr(core, "zeros_table", lambda *a: pytest.fail("table allocated"))
+        for xs, ys, k, want in cases:
+            assert _align(xs, ys, k, "sparse") == want
+
+    @pytest.mark.parametrize("k, sparse", [(5, True), (3, False)])
+    def test_cli_route_follows_the_chunk_end_count(self, monkeypatch, tmp_path, k, sparse):
+        # a DNA-like pair: r is about mn/900 at k = 5, and mn/64 at k = 3
+        x, y = _dna_pair(5, 2000, 3000)
+        (tmp_path / "x").write_text(x)
+        (tmp_path / "y").write_text(y)
+        points, tables = [], []
+        point_dp, zeros_table = exact._point_dp, core.zeros_table
+        monkeypatch.setattr(exact, "_point_dp", lambda *a: points.append(a) or point_dp(*a))
+        monkeypatch.setattr(core, "zeros_table", lambda *a: tables.append(a) or zeros_table(*a))
+        argv = ["exact", str(tmp_path / "x"), str(tmp_path / "y"), "--k", str(k), "--chunks",
+                "--out", str(tmp_path / "out")]
+        assert main(argv) == 0
+        assert (len(points), len(tables)) == ((1, 0) if sparse else (0, 1))
+        length, chunks = (tmp_path / "out").read_text().splitlines()
+        assert int(length) == lcs_kplus_length(x, y, k) >= 2000 // 3
+
+    def test_witness_peak(self):
+        # O(m + n + r): the ids, the cells and their scores, and no table;
+        # the table route peaks at about 1.03 B/cell here
+        m, k = 3000, 8
+        x, y = _dna_pair(k, m, m)
+        assert exact._sparse(*_window_ids(tuple(x), tuple(y), k))
+        tracemalloc.start()
+        try:
+            got = exact.MODE.align(x, y, k)
+            peak = tracemalloc.get_traced_memory()[1] / (m * m)
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.2
+        assert got == _table_walk(x, y, k) and got.total >= m // 3
 
 
 class TestTableInvariants:
