@@ -11,18 +11,20 @@ so one numpy row loop, _sweep, runs on a ring of k+1 score rows and two
 chunk_max rows for both entry points, which MODE.solve (see core.Mode)
 drives with its rows over the shorter sequence.
 
-The length path has two routes, and the count r of chunk-end cells, where
-the length-k windows match, picks one; sorting the window ids gives it.
-Below one chunk-end cell in 1/_SPARSE_SHARE window pairs,
+Lengths and witnesses each have two routes, and the count r of chunk-end
+cells, where the length-k windows match, picks one; sorting the window
+ids gives it.  Below one chunk-end cell in 1/_SPARSE_SHARE window pairs,
 _point_dp computes the LCSk++ recurrence over those cells alone, in
 O((m + n) log n + r log min(m, n)) Python steps and O(m + n) memory plus
-the cells of k+1 rows.  Otherwise the row loop runs in O(mn) time and keeps its
-rings alone, over the longer sequence: O(k * (m + n)) ints with the window
-ids.  Witnesses always take the row loop and its table: compute_tables has
-_sweep store each finished score row modulo 2^bits in
-core.table_dtype(k), one byte per cell for k <= 255 (see core.DpState).
-traceback only tests whether a cell holds a given score, which the
-residue decides (core.walk_chunks), and never builds the int32 table.
+the cells of k+1 rows; for a witness, MODE.align has _point_walk keep the
+score of every cell and walk them in O(m + n + r) memory, to traceback's
+chunks.  Otherwise the row loop runs in O(mn) time.  For a length it
+keeps its rings alone, over the longer sequence: O(k * (m + n)) ints with
+the window ids.  For a witness, compute_tables has _sweep store each
+finished score row modulo 2^bits in core.table_dtype(k), one byte per
+cell for k <= 255 (see core.DpState); compute_tables always takes this
+route.  traceback only tests whether a cell holds a given score, which
+the residue decides (core.walk_chunks), and never builds the int32 table.
 chunk_max_table builds the full chunk_max grid from its definition, out
 of the score table and match_run_table, for display and tests.
 """
@@ -39,8 +41,11 @@ from .core import ChunkAlignment, DpState, Mode, as_items, codes, score_test, ta
 
 # The length path's row loop costs about 5 ns per cell, and _point_dp
 # about 1 us per chunk-end cell (2-core x86-64 VM, CPython 3.11, numpy
-# 2.4), so _sweep takes the point DP when fewer than one window pair in
-# 200 is a chunk-end cell.
+# 2.4), so both paths take the point route when fewer than one window pair
+# in 200 is a chunk-end cell.  A witness costs more on both routes; on
+# uniform pairs of 2000 x 2000, 1000 x 4000 and 300 x 3000 the point
+# witness took 1.14-1.71x the table's time at r = mn/100, 0.71-0.88x at
+# mn/200 and 0.41-0.47x at mn/400, so the one share serves both.
 _SPARSE_SHARE = 1 / 200
 
 
@@ -61,7 +66,8 @@ def match_run_table(x, y) -> np.ndarray:
 
 def compute_tables(x, y, k: int) -> DpTables:
     """The score table modulo 2^bits, O(mn) bytes; feed the result to
-    traceback().
+    traceback().  It is always built: MODE.align gives the same alignment
+    without it when the chunk-end cells are sparse (see _point_walk).
 
     _sweep, the row loop of the length path, fills the rows over the
     shorter input and stores each row as it finishes.  Beside the table
@@ -206,16 +212,18 @@ def _point_walk(xg: np.ndarray, yg: np.ndarray, k: int):
     <= t (every cell with F > s there lies right of u).  It takes a chunk
     at the first cell with F == s it meets: the rightmost such cell of row
     t up to column u, or else, climbing column jl, the nearest such cell
-    above.  Cells grouped by F, then by row, answer both with a few
-    searchsorted calls over the group of s, and s falls at every chunk,
-    so the walk reads each cell at most once.
+    above.  The cells sorted by F, then row, then column answer both with
+    bisects in the group of s, and s falls at every chunk, so the walk
+    reads each group at most once: O(r) steps in all, besides the sorts.
 
     The chunk taken at a cell (t, u) with F == s is traceback's longest:
     k + d for the largest d such that each of the cells (t-e, u-e), e <= d,
     is a chunk-end cell with F == s - e.  Such a run of cells ends where
     the k-term k + C(t-d-k, u-d-k) gives F, so a chunk of length k + d
     starts there; further down the diagonal F falls by more than one per
-    cell, and no longer chunk reproduces s.
+    cell, and no longer chunk reproduces s.  ``extends`` marks the cells
+    whose up-left neighbour is a chunk-end cell with F one less, and ``up``
+    gives that neighbour's index.
     """
     if not _sparse(xg, yg):
         return None
@@ -228,9 +236,9 @@ def _point_walk(xg: np.ndarray, yg: np.ndarray, k: int):
     cu = order[np.arange(len(ct)) + np.repeat(starts - np.cumsum(counts) + counts, counts)]
     cf = np.frombuffer(scores, dtype=np.int64)
     keys = ct * len(yg) + cu  # ascending
-    back = keys - len(yg) - 1  # the keys of (t-1, u-1)
-    up = np.searchsorted(keys, back)
-    extends = (keys[up] == back) & (cu > 0) & (cf[up] == cf - 1)
+    back = keys - len(yg) - 1  # the keys of (t-1, u-1); for u = 0 it wraps to
+    up = np.searchsorted(keys, back)  # row t-1, but F = k there and F >= k everywhere
+    extends = (keys[up] == back) & (cf[up] == cf - 1)
     by_score = np.argsort(cf.astype(table_dtype(total)), kind="stable")  # by F, row, column; radix
     groups = np.searchsorted(cf[by_score], np.arange(total + 2)).tolist()
     gt, gu, by_score, up, extends = map(memoryview, (ct[by_score], cu[by_score], by_score, up, extends))
@@ -307,7 +315,8 @@ def lcs_kplus_length(x, y, k: int) -> int:
     pick the route: below one in 1/_SPARSE_SHARE window pairs the point DP,
     O((m + n) log n + r log min(m, n)) Python steps and O(m + n) memory plus
     the cells of k+1 rows; otherwise the row loop, O(mn) time and O(k * (m + n))
-    memory, its k+1 ring rows over the longer sequence."""
+    memory, its k+1 ring rows over the longer sequence.  Witnesses take the
+    same choice in MODE.align."""
     return MODE.solve(x, y, k)
 
 

@@ -250,10 +250,12 @@ class TestOrientation:
     @pytest.mark.parametrize("mode", sorted(MODES))
     @pytest.mark.parametrize("k", [3, 30])
     def test_length_peak_on_a_skewed_pair(self, mode, k):
-        # O(k * (m + n)): exact's k+1 int32 ring rows span the longer input,
-        # 4(k+1)(n+1) bytes, and op keeps O(k) ids per symbol, O(k) rows over
-        # the longer input and a capped mask group.  No (m+1) x (n+1) table:
-        # at 201 x 20001 bytes it would pass the bound at both k.
+        # O(k * (m + n)).  At sigma = 1000 no length-k windows match here
+        # (r = 0 at both k), so exact takes the point DP, which holds O(m + n)
+        # ids and sorted copies, not its row loop's k+1 int32 ring rows.  Op
+        # keeps O(k) ids per symbol, O(k) rows over the longer input and a
+        # capped mask group.  No (m+1) x (n+1) table: at 201 x 20001 bytes
+        # it would pass the bound at both k.
         m, n = 200, 20000
         rng = np.random.default_rng(40)
         x, y = rng.integers(1, 1001, m).tolist(), rng.integers(1, 1001, n).tolist()

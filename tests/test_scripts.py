@@ -31,7 +31,7 @@ def test_run_scaling_exact_takes_both_routes(capsys, monkeypatch):
     # sigma = 4: one window pair in 16 matches at k = 2 (the row loop), about
     # one in 65536 at k = 8 (the point DP)
     point_dp, ks = exact._point_dp, set()
-    monkeypatch.setattr(exact, "_point_dp", lambda xg, yg, k: ks.add(k) or point_dp(xg, yg, k))
+    monkeypatch.setattr(exact, "_point_dp", lambda cells, k, *rest: ks.add(k) or point_dp(cells, k, *rest))
     main = runpy.run_path(str(SCRIPTS / "run_scaling.py"))["main"]
     assert main(["--mode", "exact", "--n", "200,400", "--k", "2,8"]) == 0
     assert ks == {8}
