@@ -87,16 +87,119 @@ def table_dtype(bound: int):
     return np.uint8 if bound <= 0xFF else np.uint16 if bound <= 0xFFFF else np.int32
 
 
-def zeros_table(rows: int, cols: int, dtype) -> np.ndarray:
-    """A zeroed rows x cols score table, in column order if rows > cols, so
-    that the rows of its transpose, which Mode.solve sweeps, are contiguous;
-    if it cannot be allocated, the MemoryError names its size and bytes."""
+# RowStore packs at most this many staged rows at a time, and at most an
+# eighth of the table's rows, so the stage adds at most 1/8 B/cell; both
+# rounded down to a multiple of 8 // bits.
+_STAGE = 32
+# Per bits: the factors 2^(bits * r) that move row r of a byte's rows to its bits.
+_WEIGHTS = {bits: (1 << bits * np.arange(8 // bits)).astype(np.uint8)[:, None] for bits in (1, 2, 4)}
+
+
+@dataclass(frozen=True)
+class PackedTable:
+    """A rows x cols table of residues modulo 2^bits, bits in (1, 2, 4),
+    8 // bits cells to a byte along one axis.  Cell (i, j) is bits
+    (i % per) * bits and up of data[i // per, j] when ``axis`` is 0, and
+    of data[i, j // per] when it is 1, with per = 8 // bits.  T is the
+    transpose, which shares ``data``."""
+
+    data: np.ndarray  # uint8
+    shape: tuple
+    bits: int
+    axis: int = 0
+
+    @property
+    def T(self) -> "PackedTable":
+        return PackedTable(self.data.T, self.shape[::-1], self.bits, 1 - self.axis)
+
+    def unpack(self) -> np.ndarray:
+        """The residues, as a rows x cols uint8 grid."""
+        per, packed = 8 // self.bits, self.data if self.axis == 0 else self.data.T
+        shifts = (self.bits * np.arange(per, dtype=np.uint8))[:, None]
+        grid = (packed[:, None, :] >> shifts) & (1 << self.bits) - 1
+        grid = grid.reshape(-1, packed.shape[1])[: self.shape[self.axis]]
+        return grid if self.axis == 0 else grid.T
+
+
+def zeros_table(rows: int, cols: int, k: int):
+    """A zeroed rows x cols witness table for k: C modulo 2^bits for the
+    fewest bits of 1, 2 and 4 with k < 2^bits, in a PackedTable packed
+    along the axis of the shorter input (rows on a tie), or for k >= 16 a
+    table_dtype(k) grid.  Laid out so that the rows of the table Mode.solve
+    sweeps, the transpose if rows > cols, are contiguous (packed rows for
+    a PackedTable); if it cannot be allocated, the MemoryError names its
+    size and bytes."""
+    bits = next((b for b in (1, 2, 4) if k < 1 << b), 0)
+    flip = rows > cols
+    swept = (cols, rows) if flip else (rows, cols)
+    shape = (-(-swept[0] * bits // 8), swept[1]) if bits else swept
+    dtype = np.dtype(np.uint8 if bits else table_dtype(k))
     try:
-        return np.zeros((rows, cols), dtype=dtype, order="F" if rows > cols else "C")
+        data = np.zeros(shape, dtype=dtype)
     except MemoryError:
-        dtype = np.dtype(dtype)
+        what = f"at {bits} bits per cell" if bits else f"of {dtype}"
         raise MemoryError(f"cannot allocate the {rows} x {cols} score table: "
-                          f"{rows * cols * dtype.itemsize} bytes of {dtype}") from None
+                          f"{shape[0] * shape[1] * dtype.itemsize} bytes {what}") from None
+    table = PackedTable(data, swept, bits) if bits else data
+    return table.T if flip else table
+
+
+class RowStore:
+    """Stores a sweep's finished score rows, in order from row ``start`` on,
+    in its table: put(rows, offset) stores rows - offset, one row or a
+    block of rows, modulo 2^bits of the table.  A grid takes them at once,
+    cast with wrap-around.  A PackedTable (packed along rows) takes them
+    through a stage of uint8 rows (see _STAGE), which is packed when it
+    fills and by flush(), which the sweep calls after its last row: the
+    residues masked to their bits, multiplied by 2^(bits * r) for row r of
+    each byte's group, and or-ed together, in a few calls per stage.
+    """
+
+    def __init__(self, table, start: int):
+        self.next = start
+        if not isinstance(table, PackedTable):
+            self.table, self.stage = table, None
+            return
+        self.packed, self.weights, self.mask = table.data, _WEIGHTS[table.bits], (1 << table.bits) - 1
+        self.per = per = 8 // table.bits
+        self.base = start - start % per
+        size = min(_STAGE, max(per, table.shape[0] // 8 // per * per), per * len(table.data) - self.base)
+        self.stage = np.zeros((size, table.shape[1]), np.uint8)
+
+    def put(self, rows: np.ndarray, offset: int = 0):
+        if self.stage is None:
+            stop = self.next + (len(rows) if rows.ndim == 2 else 1)
+            np.subtract(rows, offset, out=self.table[self.next : stop], casting="unsafe")
+            self.next = stop
+            return
+        if rows.ndim == 1:  # exact's rows, one at a time
+            a = self.next - self.base
+            np.subtract(rows, offset, out=self.stage[a], casting="unsafe")
+            self.next += 1
+            if a + 1 == len(self.stage):
+                self.flush()
+            return
+        while len(rows):
+            a = self.next - self.base
+            take = min(len(rows), len(self.stage) - a)
+            np.subtract(rows[:take], offset, out=self.stage[a : a + take], casting="unsafe")
+            rows, self.next = rows[take:], self.next + take
+            if a + take == len(self.stage):
+                self.flush()
+
+    def flush(self):
+        """Pack the staged rows into the table.  After the last row the rest
+        of its byte's rows is stale, but lies past the table's rows."""
+        if self.stage is None or self.next == self.base:
+            return
+        per = self.per
+        stage = self.stage[: -(-(self.next - self.base) // per) * per]
+        np.bitwise_and(stage, self.mask, out=stage)
+        groups = stage.reshape(-1, per, stage.shape[1])
+        np.multiply(groups, self.weights, out=groups)
+        p = self.base // per
+        np.bitwise_or.reduce(groups, axis=1, out=self.packed[p : p + len(groups)])
+        self.base = self.next
 
 
 def as_items(seq: Any) -> tuple:
@@ -151,16 +254,18 @@ class ChunkAlignment:
 class DpState:
     """Witness state for one (x, y, k) instance, in both modes.
 
-    scores[i, j] is C[i, j] modulo 2^bits, in table_dtype(k): uint8 up to
-    k = 255 (one byte per cell), uint16 up to 65535, int32 above.  Walks
-    read it only through score_test, whose equality tests the residue
-    decides (see walk_chunks).  length is the exact C[m, n].  x_ids and
+    scores holds C[i, j] modulo 2^bits with the fewest bits that walks
+    need, 2^bits > k (see walk_chunks): a zeros_table, so for k < 16 a
+    PackedTable of 1, 2 or 4 bits per cell (k = 1, 2..3, 4..15), and
+    above a table_dtype(k) grid, uint8 up to k = 255, uint16 up to 65535,
+    int32 above.  Walks read it only through score_test, whose equality
+    tests the residue decides.  length is the exact C[m, n].  x_ids and
     y_ids are the mode's window ids, which match where a chunk can end.
     """
 
     k: int
     length: int
-    scores: np.ndarray  # (m+1) x (n+1), C modulo 2^bits
+    scores: Any  # (m+1) x (n+1), C modulo 2^bits: a PackedTable or a grid
     x_ids: np.ndarray
     y_ids: np.ndarray
 
@@ -169,41 +274,55 @@ class DpState:
         """The decoded (m+1) x (n+1) int32 score table, for display and tests.
         Column 0 scores 0 and row differences lie in [0, k] (see walk_chunks),
         so the wrapping differences of the residues are the true ones."""
-        lengths = np.zeros(self.scores.shape, dtype=np.int32)
-        np.cumsum(np.diff(self.scores, axis=1), axis=1, dtype=np.int32, out=lengths[:, 1:])
+        scores = self.scores
+        lengths = np.zeros(scores.shape, dtype=np.int32)
+        if isinstance(scores, PackedTable):
+            steps = np.diff(scores.unpack(), axis=1) & (1 << scores.bits) - 1
+        else:
+            steps = np.diff(scores, axis=1)
+        np.cumsum(steps, axis=1, dtype=np.int32, out=lengths[:, 1:])
         return lengths
 
 
-def score_test(scores: np.ndarray) -> Callable:
-    """equals(i, j, s): whether C[i, j] == s, from scores[i, j] = C[i, j]
-    modulo 2^bits of its dtype; walk_chunks says when the residue decides."""
-    mask, item = (1 << 8 * scores.itemsize) - 1, scores.item
-    return lambda i, j, s: (item(i, j) - s) & mask == 0
+def score_test(scores) -> Callable:
+    """equals(i, j, s): whether C[i, j] == s, from the residue of C[i, j]
+    modulo 2^bits in ``scores``, a PackedTable or a grid of any dtype,
+    which holds 8 * itemsize bits; walk_chunks says when the residue
+    decides."""
+    if not isinstance(scores, PackedTable):
+        mask, item = (1 << 8 * scores.itemsize) - 1, scores.item
+        return lambda i, j, s: (item(i, j) - s) & mask == 0
+    item, bits, mask = scores.data.item, scores.bits, (1 << scores.bits) - 1
+    low, shift = 8 // bits - 1, (8 // bits).bit_length() - 1  # i // per == i >> shift
+    if scores.axis == 0:
+        return lambda i, j, s: ((item(i >> shift, j) >> (i & low) * bits) - s) & mask == 0
+    return lambda i, j, s: ((item(i, j >> shift) >> (j & low) * bits) - s) & mask == 0
 
 
-def walk_chunks(scores: np.ndarray, total: int, k: int, chunk_lengths) -> ChunkAlignment:
+def walk_chunks(scores, total: int, k: int, chunk_lengths) -> ChunkAlignment:
     """Back-track one optimal chunk decomposition through a score table.
 
-    ``scores`` holds C modulo 2^bits of its dtype (C itself for an int32
-    grid), and ``total`` is the exact C[m, n].  ``chunk_lengths(i, j,
-    score)`` gives the mode's candidate lengths l of a valid last chunk
-    ending at (i, j), in its order of preference; the first with
-    C[i-l, j-l] + l == score is taken.  Otherwise the walk steps left,
-    then up.  The score of the cell it moves to is known, so every read
-    only asks whether a cell holds a given score.  Output chunks are
-    1-based and ordered by position.
+    ``scores`` holds C modulo 2^bits, packed or in a grid (see score_test;
+    an int32 grid can hold C itself), and ``total`` is the exact C[m, n].
+    ``chunk_lengths(i, j, score)`` gives the mode's candidate lengths l of a
+    valid last chunk ending at (i, j), in its order of preference; the first
+    with C[i-l, j-l] + l == score is taken.  Otherwise the walk steps left,
+    then up.  The score of the cell it moves to is known, so every read only
+    asks whether a cell holds a given score.  Output chunks are 1-based and
+    ordered by position.
 
-    The residue decides each such test while k < 2^bits.  Lemma: C[i, j]
-    - C[i-w, j-w] <= w + k - 1 for every w.  Take an optimal decomposition
-    for (i, j) and keep its chunks up to the first that crosses row i-w or
-    column j-w; cut that chunk to its prefix that fits, and drop the
-    prefix if it is shorter than k.  Both modes allow the cut, since a
-    prefix of an equal or order-isomorphic pair is again one.  Outside the
-    dropped prefix, every lost pair (x, y) has x > i-w or y > j-w, and a
-    pair with only x > i-w cannot coexist with one with only y > j-w, as
-    pairs increase in both coordinates; so at most w pairs are lost, plus
-    fewer than k from the dropped prefix.  Every read of a walk from a cell
-    of known score s is of one of two kinds:
+    The residue decides each such test while k + 1 <= 2^bits, which is how
+    zeros_table picks the bits.  Lemma: C[i, j] - C[i-w, j-w] <= w + k - 1
+    for every w.  Take an optimal decomposition for (i, j) and keep its
+    chunks up to the first that crosses row i-w or column j-w; cut that
+    chunk to its prefix that fits, and drop the prefix if it is shorter than
+    k.  Both modes allow the cut, since a prefix of an equal or
+    order-isomorphic pair is again one.  Outside the dropped prefix, every
+    lost pair (x, y) has x > i-w or y > j-w, and a pair with only x > i-w
+    cannot coexist with one with only y > j-w, as pairs increase in both
+    coordinates; so at most w pairs are lost, plus fewer than k from the
+    dropped prefix.  Every read of a walk from a cell of known score s is of
+    one of two kinds:
 
     * a chunk start (i-l, j-l), where a valid chunk of length l ends at
       (i, j): a decomposition for (i-l, j-l) plus that chunk is one for
@@ -245,11 +364,11 @@ class Mode:
 
     window_ids(xs, ys, k) checks the symbols of two tuples and gives ids
     to their windows, equal where a chunk can end; sweep(x_ids, y_ids, k,
-    table) returns C[m, n] and fills ``table`` with C modulo 2^bits of
-    its dtype, unless it is None; walk(state, x, y, k) reads a DpState
-    back into a ChunkAlignment.  point_walk(x_ids, y_ids, k), if the mode
-    has one, gives walk's alignment from the chunk-end cells alone, or
-    None to leave it to the table.
+    table) returns C[m, n] and, unless ``table`` is None, stores its rows
+    there through a RowStore, modulo 2^bits of the table; walk(state, x,
+    y, k) reads a DpState back into a ChunkAlignment.  point_walk(x_ids,
+    y_ids, k), if the mode has one, gives walk's alignment from the
+    chunk-end cells alone, or None to leave it to the table.
     """
 
     name: str
@@ -292,7 +411,7 @@ class Mode:
     def _state(self, xs: tuple, ys: tuple, k: int, ids) -> DpState:
         m, n = len(xs), len(ys)
         flip = m > n
-        table = zeros_table(m + 1, n + 1, table_dtype(k))  # rows < k score 0
+        table = zeros_table(m + 1, n + 1, k)  # rows < k score 0
         length = self.sweep(*ids, k, table.T if flip else table) if min(m, n) >= k else 0
         return DpState(k, length, table, *(ids[::-1] if flip else ids))
 

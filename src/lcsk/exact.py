@@ -12,8 +12,8 @@ chunk_max rows for both entry points, which MODE.solve (see core.Mode)
 drives with its rows over the shorter sequence.
 
 Lengths and witnesses each have two routes, and the count r of chunk-end
-cells, where the length-k windows match, picks one; sorting the window
-ids gives it.  Below one chunk-end cell in 1/_SPARSE_SHARE window pairs,
+cells, where the length-k windows match, picks one; one sort of each
+side's window ids gives it, and the cells too (_sparse).  Below one chunk-end cell in 1/_SPARSE_SHARE window pairs,
 _point_dp computes the LCSk++ recurrence over those cells alone, in
 O((m + n) log n + r log min(m, n)) Python steps and O(m + n) memory plus
 the cells of k+1 rows; for a witness, MODE.align has _point_walk keep the
@@ -21,8 +21,9 @@ score of every cell and walk them in O(m + n + r) memory, to traceback's
 chunks.  Otherwise the row loop runs in O(mn) time.  For a length it
 keeps its rings alone, over the longer sequence: O(k * (m + n)) ints with
 the window ids.  For a witness, compute_tables has _sweep store each
-finished score row modulo 2^bits in core.table_dtype(k), one byte per
-cell for k <= 255 (see core.DpState); compute_tables always takes this
+finished score row modulo 2^bits, with 2^bits > k: packed 1, 2 or 4 bits
+to a cell for k < 16, a quarter byte at k = 2 or 3, and a byte per cell
+up to k = 255 (see core.DpState); compute_tables always takes this
 route.  traceback only tests whether a cell holds a given score, which
 the residue decides (core.walk_chunks), and never builds the int32 table.
 chunk_max_table builds the full chunk_max grid from its definition, out
@@ -37,7 +38,7 @@ from collections import deque
 
 import numpy as np
 
-from .core import ChunkAlignment, DpState, Mode, as_items, codes, score_test, table_dtype, walk_chunks
+from .core import ChunkAlignment, DpState, Mode, RowStore, as_items, codes, score_test, table_dtype, walk_chunks
 
 # The length path's row loop costs about 5 ns per cell, and _point_dp
 # about 1 us per chunk-end cell (2-core x86-64 VM, CPython 3.11, numpy
@@ -70,10 +71,13 @@ def compute_tables(x, y, k: int) -> DpTables:
     without it when the chunk-end cells are sparse (see _point_walk).
 
     _sweep, the row loop of the length path, fills the rows over the
-    shorter input and stores each row as it finishes.  Beside the table
-    _sweep holds k+1 int32 score rows, 4(k+1)(max(m, n)+1) bytes: about
-    4(k+1)/(min(m, n)+1) B/cell more than a uint8 table, so the ring, not
-    the table, sets the peak once k is a sizeable part of min(m, n).
+    shorter input and stores each row as it finishes, through a stage of
+    at most 32 uint8 rows for a packed table (core.RowStore).  The table
+    takes bits/8 B/cell: 0.125 at k = 1, 0.25 at k = 2..3, 0.5 at k =
+    4..15, then 1 up to k = 255.  Beside it _sweep holds k+1 int32 score
+    rows, 4(k+1)(max(m, n)+1) bytes: about 4(k+1)/(min(m, n)+1) B/cell
+    more, so the ring, not the table, sets the peak once k is a sizeable
+    part of min(m, n), which for a 2-bit table is k + 1 near min(m, n)/16.
     """
     return MODE.solve(x, y, k, witness=True)
 
@@ -99,45 +103,82 @@ def _window_ids(xs: tuple, ys: tuple, k: int):
 
     core.codes gives the symbols codes below s, so each extra symbol
     multiplies the id range by s; ids are re-ranked with np.unique before
-    they could overflow int64.
+    they could overflow int64, and once more at the end if they do not fit
+    in int32, which _id_runs needs.
     """
     xa, ya = np.split(codes(xs + ys, "exact"), [len(xs)])
     if min(len(xa), len(ya)) < k:
         return xa[:0], ya[:0]
+    def rerank(gx, gy):
+        ids = np.unique(np.concatenate((gx, gy)), return_inverse=True)[1]
+        return ids[: len(gx)], ids[len(gx) :]
+
     s = int(max(xa.max(), ya.max())) + 1
     gx, gy = xa, ya
     span = s
     for t in range(1, k):
         if span * s >= 1 << 62:
-            ids = np.unique(np.concatenate((gx, gy)), return_inverse=True)[1]
-            gx, gy = ids[: len(gx)], ids[len(gx) :]
-            span = len(ids)
+            gx, gy = rerank(gx, gy)
+            span = len(gx) + len(gy)
         gx = gx[:-1] * s + xa[t:]
         gy = gy[:-1] * s + ya[t:]
         span *= s
-    dtype = np.int32 if span < 1 << 31 else np.int64
-    return gx.astype(dtype), gy.astype(dtype)
+    if span >= 1 << 31:
+        gx, gy = rerank(gx, gy)
+    return gx.astype(np.int32), gy.astype(np.int32)
+
+
+def _id_runs(g: np.ndarray):
+    """g's window ids sorted once, as the positions in id order, ties in
+    position order, and the distinct ids with the bounds of their runs in
+    it.  The sort is of keys id * 2^32 + position, which fit in int64 as
+    _window_ids keeps the ids in int32; a plain sort of them is about five
+    times as fast as a stable argsort of the ids."""
+    keys = g.astype(np.int64)
+    keys <<= 32
+    keys |= np.arange(len(g))
+    keys.sort()
+    ids = keys >> 32
+    keys &= 0xFFFFFFFF
+    heads = np.flatnonzero(ids[1:] != ids[:-1]) + 1
+    bounds = np.concatenate(([0], heads, [len(g)]))
+    return keys, ids[bounds[:-1]], bounds
+
+
+def _matches(xg: np.ndarray, yg: np.ndarray):
+    """The chunk-end cells, where the x and y window ids are equal, by
+    distinct x id: each one's count of x windows, and the start and width
+    of its run in the y positions sorted by id (width 0 if no y window has
+    it); also both position orders.  One _id_runs per side and a
+    searchsorted of distinct ids: O((m + n) log(m + n))."""
+    x_order, x_ids, x_bounds = _id_runs(xg)
+    y_order, y_ids, y_bounds = _id_runs(yg)
+    at = np.minimum(np.searchsorted(y_ids, x_ids), len(y_ids) - 1)
+    starts = y_bounds[at]
+    widths = (y_bounds[at + 1] - starts) * (y_ids[at] == x_ids)
+    return x_order, np.diff(x_bounds), y_order, starts, widths
 
 
 def _chunk_end_count(xg: np.ndarray, yg: np.ndarray) -> int:
-    """r, the number of window pairs with equal ids: the chunk-end cells.
-    Sorted keys make searchsorted about three times as fast."""
-    x_sorted, y_sorted = np.sort(xg), np.sort(yg)
-    right, left = (np.searchsorted(y_sorted, x_sorted, side).sum() for side in ("right", "left"))
-    return int(right - left)
+    """r, the number of window pairs with equal ids: the chunk-end cells."""
+    _, counts, _, _, widths = _matches(xg, yg)
+    return int(counts @ widths)
 
 
-def _row_cells(xg: np.ndarray, yg: np.ndarray):
-    """The chunk-end cells row by row, in window coordinates: row rows[q] of
-    the x windows meets the columns order[starts[q]:ends[q]], in ascending
-    order.  A stable argsort of the y ids and two searchsorted calls, on the
-    x ids in sorted order as in _chunk_end_count, give them in O(m + n)
-    memory."""
-    order, x_order = np.argsort(yg, kind="stable"), np.argsort(xg)
-    sorted_ids, x_sorted = yg[order], xg[x_order]
+def _sparse(xg: np.ndarray, yg: np.ndarray):
+    """The chunk-end cells row by row, as _point_dp takes them, if they are
+    fewer than _SPARSE_SHARE of the window pairs, so that the point DP
+    beats the row loop; else None.  Row rows[q] of the x windows meets
+    the columns order[starts[q]:ends[q]], in ascending order.  The count
+    and the cells come from one _matches, in O(m + n) memory; the row loop
+    pays only for the count."""
+    x_order, counts, order, run_starts, widths = _matches(xg, yg)
+    if counts @ widths >= _SPARSE_SHARE * len(xg) * len(yg):
+        return None
     starts, ends = np.empty_like(x_order), np.empty_like(x_order)
-    starts[x_order] = np.searchsorted(sorted_ids, x_sorted, "left")
-    ends[x_order] = np.searchsorted(sorted_ids, x_sorted, "right")
+    starts[x_order] = np.repeat(run_starts, counts)
+    ends[x_order] = np.repeat(widths, counts)
+    ends += starts
     rows = np.flatnonzero(ends > starts)
     return rows, starts[rows], ends[rows], order
 
@@ -146,7 +187,7 @@ def _point_dp(cells, k: int, scores=None) -> int:
     """C[m, n] from the r chunk-end cells alone, where the length-k windows
     match: the LCSk++ recurrence of Pavetic, Zuzic and Sikic (arXiv:1407.2407).
 
-    Rows run over the x windows, and _row_cells gives each row its cells.
+    Rows run over the x windows, and _sparse gives each row its cells.
     At cell (t, u) in window coordinates,
 
         F(t, u) = max(k + C(t-k, u-k), F(t-1, u-1) + 1),
@@ -193,12 +234,6 @@ def _point_dp(cells, k: int, scores=None) -> int:
     return best[-1]
 
 
-def _sparse(xg: np.ndarray, yg: np.ndarray) -> bool:
-    """Whether the chunk-end cells are fewer than _SPARSE_SHARE of the window
-    pairs, so that the point DP beats the row loop."""
-    return _chunk_end_count(xg, yg) < _SPARSE_SHARE * len(xg) * len(yg)
-
-
 def _point_walk(xg: np.ndarray, yg: np.ndarray, k: int):
     """traceback's alignment from the chunk-end cells alone, in O(m + n + r)
     memory, or None when they are not sparse (see _sparse): then the
@@ -225,9 +260,9 @@ def _point_walk(xg: np.ndarray, yg: np.ndarray, k: int):
     whose up-left neighbour is a chunk-end cell with F one less, and ``up``
     gives that neighbour's index.
     """
-    if not _sparse(xg, yg):
+    cells = _sparse(xg, yg)
+    if cells is None:
         return None
-    cells = _row_cells(xg, yg)
     scores = array("q")
     total = _point_dp(cells, k, scores)
     rows, starts, ends, order = cells
@@ -267,8 +302,8 @@ def _sweep(xg: np.ndarray, yg: np.ndarray, k: int, table=None) -> int:
 
     Without a table, when the chunk-end cells are fewer than _SPARSE_SHARE
     of the window pairs, _point_dp returns C[m, n] from them alone.  Their
-    count r comes from sorted copies of the ids, freed before the rings are
-    allocated, so it does not raise the row loop's peak.
+    count r comes from sorted keys of the ids (_sparse), freed before the
+    rings are allocated, so it does not raise the row loop's peak.
 
     Row i is kept with offset m + 1 - i, in a ring of k+1 score rows
     h = C + m + 1 - i, beside a ring of two chunk rows e = chunk_max +
@@ -282,10 +317,12 @@ def _sweep(xg: np.ndarray, yg: np.ndarray, k: int, table=None) -> int:
     views repeat every 2(k+1) rows and are built once.  Six numpy calls
     per row on them: the per-row overhead matters, as only the running max
     is O(n) work of any weight.  When ``table`` is given, each finished
-    row goes to table[i] without its offset, modulo 2^bits of its dtype.
+    row goes to it without its offset, through a core.RowStore.
     """
-    if table is None and _sparse(xg, yg):
-        return _point_dp(_row_cells(xg, yg), k)
+    if table is None:
+        cells = _sparse(xg, yg)
+        if cells is not None:
+            return _point_dp(cells, k)
     m, n = len(xg) + k - 1, len(yg) + k - 1
     h = np.empty((k + 1, n + 1), dtype=np.int32)
     h[:] = (m + 1 - np.arange(k + 1, dtype=np.int32))[:, None]  # rows 0..k score 0
@@ -297,6 +334,7 @@ def _sweep(xg: np.ndarray, yg: np.ndarray, k: int, table=None) -> int:
                       chunk, chunk[k:], e[(i - 1) % 2][k - 1 : n]))
     one = np.ones(n + 1, dtype=np.int32)
     hit = np.empty(len(yg), dtype=bool)
+    store = RowStore(table, k) if table is not None else None
     for t, gram in enumerate(xg):
         row, up, cand, chunk, tail, diag = views[t % len(views)]
         np.equal(yg, gram, out=hit)
@@ -306,7 +344,9 @@ def _sweep(xg: np.ndarray, yg: np.ndarray, k: int, table=None) -> int:
         np.maximum(row, chunk, out=row)
         np.maximum.accumulate(row, out=row)
         if table is not None:
-            np.subtract(row, m + 1 - k - t, out=table[k + t], casting="unsafe")
+            store.put(row, m + 1 - k - t)
+    if table is not None:
+        store.flush()
     return int(row[-1]) - 1  # row m's offset is 1
 
 

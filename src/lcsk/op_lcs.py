@@ -28,15 +28,17 @@ then one id comparison.
 Rows are swept in blocks of k.  A chunk of length >= k that ends in rows
 i..i+k-1 starts before row i, so every chunk candidate of a block reads
 finished rows: C[i-w, j-w] + w where the ids of length w match, for all
-w at once.  The block then takes the max over w, the max with the row
-above and the running max along j.  The rows, masks and candidates of
-the sweep are in the narrowest dtype that holds min(m, n), the largest
-score (uint8 up to 255, uint16 up to 65535, int32 above): a candidate
-whose windows match is at most min(i, j), and one whose windows differ
-is cleared by its 0 mask even if it wrapped around.
+w at once.  A mask holds w there and 0 elsewhere, and the candidates are
+C[i-w, j-w] plus the mask: where the ids differ, C[i-w, j-w] <= C[i-1, j]
+changes no max, as C is monotone.  The block then takes the max over w,
+the max with the row above and the running max along j.  The rows, masks
+and candidates of the sweep are in the narrowest dtype that holds
+min(m, n), the largest score (uint8 up to 255, uint16 up to 65535, int32
+above): a candidate whose windows match is at most min(i, j).
 
-The witness state is core.DpState, as in exact mode: C modulo 2^bits in
-core.table_dtype(k), one byte per cell for k <= 255.  The back-track only
+The witness state is core.DpState, as in exact mode: C modulo 2^bits with
+2^bits > k, packed 2 or 4 bits to a cell for k < 16 (a quarter byte at k
+= 2 or 3), and one byte per cell up to k = 255.  The back-track only
 asks whether a chunk start or a neighbour of a cell of known score holds
 a given score, which the residue decides (proof at core.walk_chunks).
 
@@ -58,7 +60,7 @@ from __future__ import annotations
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from .core import ChunkAlignment, DpState, Mode, codes, table_dtype, walk_chunks
+from .core import ChunkAlignment, DpState, Mode, RowStore, codes, table_dtype, walk_chunks
 
 # A group of row blocks shares one window-id comparison and one slide of
 # the row buffer.  A block's masks take k entries per row and column;
@@ -128,19 +130,21 @@ def _window_ids(xs: tuple, ys: tuple, k: int):
 def _sweep(x_ids: np.ndarray, y_ids: np.ndarray, k: int, table=None) -> int:
     """Fill the score table C in blocks of up to k rows; return C[m, n].
 
-    Rows live in a buffer of 2k finished rows above a group of blocks;
-    after each group the last 2k rows slide to the top, and the group's
-    rows are copied into ``table`` first when it is given, modulo 2^bits
-    of its dtype.  For row r of block g, at buffer row t + r with
-    t = 2k + g*height, diag[g, w-k, r, j-k] is buffer[t+r-w, j-w], that is
-    C[i-w, j-w] for the columns j >= k a chunk can end in.  Columns j < w
-    read the tail of the row above, but y_ids has -2 there, so they never
-    match.  Each group compares window ids once, into one 0/1 mask per
-    block.  The buffer, the masks and the candidates C[i-w, j-w] + w share
-    table_dtype(min(m, n)): a score is at most min(m, n), and so is an
-    unmasked candidate, at most min(i, j); a masked one may wrap around
-    (so may w itself past min(m, n), where no window fits), but its mask
-    clears it.  Each block position's views are built once.
+    Rows live in a buffer of 2k finished rows above a group of blocks,
+    after k-1 zero columns; after each group the last 2k rows slide to the
+    top, and the group's rows go to ``table`` first when it is given,
+    through a core.RowStore.  For row r of block g, at buffer row t + r
+    with t = 2k + g*height, diag[g, w-k, r, j-k] is buffer[t+r-w, j-w],
+    that is C[i-w, j-w], for the columns j >= k a chunk can end in;
+    columns j < w read the zero columns.  Each group compares window ids
+    once, into one mask per block that holds w where the length-w windows
+    match and 0 elsewhere, so a block's candidates are diag + mask.  C is
+    monotone, so an unmatched candidate C[i-w, j-w] <= C[i-1, j] changes
+    no max.  The buffer, the masks and the candidates share
+    table_dtype(min(m, n)): a score is at most min(m, n), and so is a
+    matched candidate, at most min(i, j); w itself may wrap past min(m, n),
+    but no window that long fits, so its mask entries are 0.  Each block
+    position's views are built once.
     """
     m, n = x_ids.shape[1] - 1, y_ids.shape[1] - 1
     cols = n + 1 - k
@@ -154,34 +158,39 @@ def _sweep(x_ids: np.ndarray, y_ids: np.ndarray, k: int, table=None) -> int:
     xb = xg[:, k:].reshape(k, padded, height, 1).transpose(1, 0, 2, 3)
     yg = y_ids[:, None, k:]
     dtype = table_dtype(min(m, n))
-    buf = np.zeros((top + group * height, n + 1), dtype=dtype)  # rows below k score 0
+    width = k + n  # k-1 zero columns, then columns 0..n
+    buf = np.zeros((top + group * height, width), dtype=dtype)  # rows below k score 0
     hit = np.empty((group, k, height, cols), dtype=dtype)
     cand = np.empty(hit.shape[1:], dtype=dtype)
     plus_w = np.arange(k, 2 * k).astype(dtype)[:, None, None]
     s0, s1 = buf.strides
     strides = (height * s0, -s0 - s1, s0, s1)
-    diag = as_strided(buf[top - k :], hit.shape, strides, writeable=False)
-    block, flat = buf[top:].reshape(group, height, n + 1), buf.reshape(-1)
+    rows = buf[:, k - 1 :]
+    diag = as_strided(rows[top - k :], hit.shape, strides, writeable=False)
+    block, flat = rows[top:].reshape(group, height, n + 1), buf.reshape(-1)
     views = [(diag[g], hit[g], block[g, :, k:], block[g],
-              [(buf[r], buf[r - 1]) for r in range(top + g * height, top + (g + 1) * height)])
+              [(rows[r], rows[r - 1]) for r in range(top + g * height, top + (g + 1) * height)])
              for g in range(group)]
+    store = RowStore(table, k) if table is not None else None
     bufsize = np.setbufsize(_BUFSIZE)
     try:
         for b in range(0, blocks, group):
             count = min(group, blocks - b)
             np.equal(xb[b : b + group], yg, out=hit)
+            np.multiply(hit, plus_w, out=hit)
             for diag_g, hit_g, chunks, block_g, above in views[:count]:
-                np.add(diag_g, plus_w, out=cand)
-                np.multiply(cand, hit_g, out=cand)
+                np.add(diag_g, hit_g, out=cand)
                 np.maximum.reduce(cand, axis=0, out=chunks)
                 for row, up in above:
                     np.maximum(row, up, out=row)  # max with the row above
                 np.maximum.accumulate(block_g, axis=1, out=block_g)
             i, end = k + b * height, top + count * height
-            done = buf[top : min(end, top + m + 1 - i)]
+            done = rows[top : min(end, top + m + 1 - i)]
             if table is not None:
-                np.copyto(table[i : i + len(done)], done, casting="unsafe")
-            flat[: top * (n + 1)] = flat[(end - top) * (n + 1) : end * (n + 1)]  # memmove
+                store.put(done)
+            flat[: top * width] = flat[(end - top) * width : end * width]  # memmove
+        if table is not None:
+            store.flush()
     finally:
         np.setbufsize(bufsize)
     return int(done[-1, -1])

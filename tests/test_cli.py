@@ -350,17 +350,18 @@ C:
 
 
 @pytest.mark.parametrize("mode, text_x, text_y, table, length", [
-    ("exact", "31415", "2714181", "48 bytes of uint8", "3"),
-    ("op", "3 1 4 1 5", "2 7 1 4 1 8 1", "48 bytes of uint8", "5"),
+    ("exact", "31415", "2714181", "16 bytes at 2 bits per cell", "3"),
+    ("op", "3 1 4 1 5", "2 7 1 4 1 8 1", "16 bytes at 2 bits per cell", "5"),
 ])
 def test_table_too_big_exits_2(mode, text_x, text_y, table, length, files, capsys, monkeypatch):
-    # an allocator that refuses the 6 x 8 score table and nothing else
+    # an allocator that refuses the 6 x 8 score table, which k = 2 packs
+    # four rows to a byte into 2 x 8 bytes, and nothing else
     real = np.zeros
 
-    def zeros(shape, *args, **kwargs):
-        if shape == (6, 8):
+    def zeros(shape, dtype=float, *args, **kwargs):
+        if shape == (2, 8) and np.dtype(dtype) == np.uint8:
             raise MemoryError
-        return real(shape, *args, **kwargs)
+        return real(shape, dtype, *args, **kwargs)
 
     monkeypatch.setattr(np, "zeros", zeros)
     x, y = files("x", text_x), files("y", text_y)

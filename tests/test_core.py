@@ -11,11 +11,14 @@ from lcsk import exact, op_lcs
 from lcsk.core import (
     ChunkAlignment,
     Params,
+    RowStore,
     as_items,
     check_k,
     validate_alignment,
+    zeros_table,
 )
 from lcsk.oracles import naive_lcs_kplus, naive_op_lcs_kplus
+from lcsk.order_iso import build_oplce_table
 
 MODES = {"exact": exact.MODE, "op": op_lcs.MODE}
 
@@ -163,18 +166,9 @@ class TestWitnessTable:
     @pytest.mark.parametrize("mode", sorted(MODES))
     @pytest.mark.parametrize("k, dtype", [(255, np.uint8), (256, np.uint16)])
     def test_table_dtype_edges(self, mode, k, dtype):
-        # x = S1 g S2 R z and y = R S1 h S2, with |S1| = 600 > 2k, |S2| = k
-        # and |R| = 600 + k - 128, values all distinct and S1 below R: the
-        # total 600 + k comes from S1 and S2, and the walk's first read,
-        # C[m, n-1] = |R|, is 128 below it, which a residue test modulo 2^7
-        # would take for the total.  The ends g, h, z stop op chunks from
-        # growing past these pieces.
-        rng = random.Random(k)
-        low, high = list(range(1, 601)), list(range(601, 1073 + 2 * k))
-        rng.shuffle(low)
-        rng.shuffle(high)
-        s1, s2, r = low, high[:k], high[k:]
-        x, y = s1 + [10**6] + s2 + r + [10**6 + 1], r + s1 + [0] + s2
+        # the walk's first read is 128 below the total, which a residue test
+        # modulo 2^7 would take for the total (see _near_tie_pair)
+        x, y = _near_tie_pair(k, 128)
         state = MODES[mode].solve(x, y, k, witness=True)
         assert state.scores.dtype == dtype
         c = state.lengths
@@ -191,6 +185,137 @@ class TestWitnessTable:
         shifted = MODES[mode].walk(wrapped, x, y, k)
         assert shifted.chunks == got.chunks and shifted.total == got.total + shift
 
+    def test_two_bit_edges(self):
+        # k = 3 packs 2 bits per cell; the walk's first read is 2 below the
+        # total, which a 1-bit residue would take for the total.  Exact mode
+        # only: at k = 3 chance order-isomorphic windows are everywhere
+        mode, k = "exact", 3
+        x, y = _near_tie_pair(k, 2)
+        state = MODES[mode].solve(x, y, k, witness=True)
+        assert state.scores.bits == 2
+        c = state.lengths
+        assert state.length == int(c[-1, -1]) == 600 + k == int(c[-1, -2]) + 2
+        got = MODES[mode].walk(state, x, y, k)
+        assert validate_alignment(x, y, Params(k=k, mode=mode), got)
+        assert got == MODES[mode].walk(dataclasses.replace(state, scores=c), x, y, k)
+        for shift in (1, 2, 3, 301):  # every residue, and half the total
+            wrapped = dataclasses.replace(state, length=state.length + shift, scores=_packed(c + shift, k))
+            assert np.array_equal(wrapped.lengths, c)  # the decode starts from column 0
+            shifted = MODES[mode].walk(wrapped, x, y, k)
+            assert shifted.chunks == got.chunks and shifted.total == got.total + shift
+
+
+def _near_tie_pair(k, gap):
+    """x = S1 g S2 R z and y = R S1 h S2, with |S1| = 600 > 2k, |S2| = k and
+    |R| = 600 + k - gap, values all distinct and S1 below R: the total
+    600 + k comes from S1 and S2, and the walk's first read, C[m, n-1] =
+    |R|, is gap below it.  The ends g, h, z stop op chunks from growing
+    past these pieces."""
+    rng = random.Random(k)
+    low, high = list(range(1, 601)), list(range(601, 1201 + 2 * k - gap))
+    rng.shuffle(low)
+    rng.shuffle(high)
+    s1, s2, r = low, high[:k], high[k:]
+    return s1 + [10**6] + s2 + r + [10**6 + 1], r + s1 + [0] + s2
+
+
+def _packed(grid, k):
+    """The witness table of k holding ``grid`` modulo 2^bits, stored as a
+    sweep stores it: its rows, or its columns when it is tall."""
+    table = zeros_table(*grid.shape, k)
+    tall = grid.shape[0] > grid.shape[1]
+    store = RowStore(table.T if tall else table, 0)
+    store.put(grid.T if tall else grid)
+    store.flush()
+    return table
+
+
+def _uncapped_grid(mode, xs, ys, k):
+    """C on every prefix pair from its definition: every chunk length from
+    k up to the longest equal (exact) or order-isomorphic (op) pair of
+    windows ending at (i, j)."""
+    m, n = len(xs), len(ys)
+    if mode == "exact":
+        runs = exact.match_run_table(xs, ys)
+        ell = lambda i, j: int(runs[i, j])
+    else:
+        lce = build_oplce_table(xs[::-1], ys[::-1]).values  # lce[m-i+1, n-j+1] = ell(i, j)
+        ell = lambda i, j: int(lce[m - i + 1, n - j + 1])
+    c = np.zeros((m + 1, n + 1), dtype=np.int32)
+    for i in range(1, m + 1):
+        for j in range(1, n + 1):
+            c[i, j] = max(c[i - 1, j], c[i, j - 1], *(c[i - ln, j - ln] + ln for ln in range(k, ell(i, j) + 1)))
+    return c
+
+
+class TestPackedTable:
+    """For k < 16 the witness table packs C modulo 2^bits, with the fewest
+    bits of 1, 2 and 4 that exceed log2(k), 8 // bits cells to a byte along
+    the shorter input's axis; from k = 16 on it is a table_dtype(k) grid."""
+
+    # m+1 and n+1 are odd, so no packing axis is a multiple of 8 // bits
+    SHAPES = {"wide": ((12, 22), (36, 50)), "square": ((16, 16), (44, 44)), "tall": ((30, 8), (60, 40))}
+
+    @pytest.mark.parametrize("shape", sorted(SHAPES))
+    @pytest.mark.parametrize("mode, k, bits", [("exact", 1, 1), ("exact", 2, 2), ("exact", 3, 2),
+                                               ("exact", 4, 4), ("exact", 15, 4), ("exact", 16, 0),
+                                               ("op", 2, 2), ("op", 3, 2), ("op", 4, 4),
+                                               ("op", 15, 4), ("op", 16, 0)])
+    def test_walk_and_lengths(self, mode, k, bits, shape):
+        rng = random.Random(f"{mode} {k} {shape}")
+        m, n = self.SHAPES[shape][k >= 15]
+        for _ in range(3):
+            x, y = self.planted(rng, mode, m, n, k)
+            state = MODES[mode].solve(x, y, k, witness=True)
+            scores = state.scores
+            if bits:
+                axis, per = int(m > n), 8 // bits
+                assert (scores.bits, scores.axis, scores.shape) == (bits, axis, (m + 1, n + 1))
+                assert scores.data.shape[axis] == -(-(min(m, n) + 1) // per)
+                assert scores.data.shape[1 - axis] == max(m, n) + 1
+            else:
+                assert scores.shape == (m + 1, n + 1) and scores.dtype == np.uint8
+            c = state.lengths
+            assert np.array_equal(c, _uncapped_grid(mode, x, y, k))
+            got = MODES[mode].walk(state, x, y, k)
+            assert got == MODES[mode].walk(dataclasses.replace(state, scores=c), x, y, k)
+            assert got.total == state.length == int(c[-1, -1])
+            assert validate_alignment(x, y, Params(k=k, mode=mode), got)
+            for shift in range(1, 1 << bits):  # the residues of every shifted table
+                wrapped = dataclasses.replace(state, length=state.length + shift, scores=_packed(c + shift, k))
+                shifted = MODES[mode].walk(wrapped, x, y, k)
+                assert shifted.chunks == got.chunks and shifted.total == got.total + shift
+
+    @staticmethod
+    def planted(rng, mode, m, n, k):
+        """Random m and n symbols, few distinct, with a segment of k..2k+1
+        of them copied (exact) or mapped by v -> 2v + 1 (op) from x into y."""
+        x = [rng.randint(1, 3 if mode == "exact" else 6) for _ in range(m)]
+        y = [rng.randint(1, 3 if mode == "exact" else 6) for _ in range(n)]
+        size = min(rng.randint(k, 2 * k + 1), m, n)
+        i, j = rng.randint(0, m - size), rng.randint(0, n - size)
+        y[j : j + size] = x[i : i + size] if mode == "exact" else [2 * v + 1 for v in x[i : i + size]]
+        return x, y
+
+    @pytest.mark.parametrize("k", [1, 2, 4])
+    def test_row_store_packs_any_row_split(self, k):
+        # the same residues whatever the blocks the rows arrive in, and
+        # whatever row the sweep starts at
+        rng = np.random.default_rng(k)
+        grid = rng.integers(0, 1000, (45, 50)).astype(np.int32)
+        want = grid % (2 if k == 1 else 4 if k == 2 else 16)
+        for start in (0, 3, 5):
+            for block in (1, 3, 40):
+                table = zeros_table(45, 50, k)
+                store = RowStore(table, start)
+                for r in range(start, 45, block):
+                    rows = grid[r : r + block]
+                    store.put(rows[0] if len(rows) == 1 else rows)
+                store.flush()
+                assert np.array_equal(table.unpack()[start:], want[start:])
+                assert not table.unpack()[:start].any()
+                assert np.array_equal(table.T.unpack(), table.unpack().T)
+
 
 class TestOrientation:
     """Mode.solve sweeps its rows over the shorter input, x on a tie."""
@@ -201,7 +326,8 @@ class TestOrientation:
         calls = []
 
         def spy(x_ids, y_ids, k, table=None):
-            calls.append((x_ids.copy(), y_ids.copy(), table is None or table.flags.c_contiguous))
+            rows = None if table is None else table.data  # k = 3: a 2-bit PackedTable
+            calls.append((x_ids.copy(), y_ids.copy(), rows is None or rows.flags.c_contiguous))
             return mode.sweep(x_ids, y_ids, k, table)
 
         return dataclasses.replace(mode, sweep=spy), calls
@@ -211,7 +337,7 @@ class TestOrientation:
         want = mode.window_ids(rows, cols, k)
         for x_ids, y_ids, contiguous in calls:
             assert np.array_equal(x_ids, want[0]) and np.array_equal(y_ids, want[1])
-            assert contiguous  # the rows of the table the sweep fills
+            assert contiguous  # the packed rows of the table the sweep fills
 
     @pytest.mark.parametrize("mode", sorted(MODES))
     def test_rows_run_over_the_shorter_input(self, mode):
@@ -227,8 +353,11 @@ class TestOrientation:
         self.assert_swept(calls, mode, xs, ys, k)
         oracle = naive_lcs_kplus if mode.name == "exact" else naive_op_lcs_kplus
         assert a == b == c.length == d.length == oracle(xs, ys, k) >= len(xs)
-        # the flipped solve fills the transpose of a column-order table
-        assert d.scores.shape == (41, 13) and d.scores.flags.f_contiguous
+        # the flipped solve fills the transpose of a column-order table,
+        # four cells to a byte along the shorter input's axis
+        assert d.scores.shape == (41, 13) and (d.scores.bits, d.scores.axis) == (2, 1)
+        assert d.scores.data.shape == (41, 4) and d.scores.data.flags.f_contiguous
+        assert c.scores.data.shape == (4, 41) and c.scores.data.flags.c_contiguous
         assert np.array_equal(d.lengths, c.lengths.T)
         params = Params(k=k, mode=mode.name)
         for state, x, y in ((c, xs, ys), (d, ys, xs)):

@@ -436,7 +436,7 @@ class TestTraceback:
     def test_dead_end_raises(self):
         # a score that neither a chunk, the left cell nor the upper cell explains
         t = compute_tables("abc", "xyz", 1)
-        scores = t.scores.copy()
+        scores = t.lengths  # at k = 1 one bit per cell could not tell 2 from 0
         scores[3, 3] = 2  # C[3, 3] = 2 with C[3, 2] = C[2, 3] = 0
         with pytest.raises(RuntimeError, match=r"inconsistent DP table at \(3, 3\)"):
             traceback(dataclasses.replace(t, scores=scores, length=2), "abc", "xyz", 1)
@@ -469,8 +469,24 @@ class TestTraceback:
 
         assert traceback(tables, xs, ys, k) == walk_chunks(tables.lengths, tables.length, k, gated)
 
+    def test_packed_witness_peak(self):
+        # the row loop's witness at k = 3: 2-bit residues, four rows to a
+        # byte, 0.25 B/cell, beside a stage of 32 rows and the k+1 ring rows
+        # (1.03 B/cell with one byte per cell)
+        m, k = 2000, 3
+        x, y = _dna_pair(1, m, m)
+        assert not exact._sparse(*_window_ids(tuple(x), tuple(y), k))
+        tracemalloc.start()
+        try:
+            got = exact.MODE.align(x, y, k)
+            peak = tracemalloc.get_traced_memory()[1] / (m * m)
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.4
+        assert validate_alignment(x, y, Params(k=k), got) and got.total >= m // 3
+
     def test_witness_peak_is_one_byte_per_cell(self):
-        # uint8 scores modulo 2^8; the walk decodes no row
+        # 2-bit residues, four to a byte; the walk decodes no row
         rng = random.Random(6)
         x = "".join(rng.choice("ACGT") for _ in range(600))
         y = x[:200] + "".join(rng.choice("ACGT") for _ in range(400))
@@ -497,7 +513,7 @@ class TestTraceback:
         # length from the common-suffix run down to k
         xs, ys = pair
         tables = compute_tables(xs, ys, k)
-        assert tables.scores.dtype == np.uint8
+        assert tables.scores.bits == (1 if k == 1 else 2 if k <= 3 else 4)
         want = walk_chunks(tables.lengths, tables.length, k, _run_walk(xs, ys, k))
         assert traceback(tables, xs, ys, k) == want
 
@@ -521,17 +537,19 @@ class TestTraceback:
     def test_table_too_big_is_named(self, monkeypatch):
         real = np.zeros
 
-        def zeros(shape, *args, **kwargs):
-            if shape in ((6, 8), (8, 6)):
+        def zeros(shape, dtype=float, *args, **kwargs):
+            if shape in ((2, 8), (6, 8)) and np.dtype(dtype) == np.uint8:  # packed at k = 2, or k = 16
                 raise MemoryError
-            return real(shape, *args, **kwargs)
+            return real(shape, dtype, *args, **kwargs)
 
         monkeypatch.setattr(np, "zeros", zeros)
         x, y = (3, 1, 4, 1, 5), (2, 7, 1, 4, 1, 8, 1)
-        with pytest.raises(MemoryError, match=r"^cannot allocate the 6 x 8 score table: 48 bytes of uint8$"):
+        with pytest.raises(MemoryError, match=r"^cannot allocate the 6 x 8 score table: 16 bytes at 2 bits per cell$"):
             compute_tables(x, y, 2)
-        with pytest.raises(MemoryError, match=r"6 x 8 score table: 48 bytes of uint8"):
+        with pytest.raises(MemoryError, match=r"6 x 8 score table: 16 bytes at 2 bits per cell"):
             op_lcs_kplus_state(x, y, 2)
+        with pytest.raises(MemoryError, match=r"^cannot allocate the 6 x 8 score table: 48 bytes of uint8$"):
+            compute_tables(x, y, 16)
         with pytest.raises(MemoryError, match=r"^cannot allocate the 8 x 6 score table"):
             compute_tables(y, x, 2)  # swept as (x, y), into the transpose
         assert lcs_kplus_length(x, y, 2) == 3  # the length path keeps no table

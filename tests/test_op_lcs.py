@@ -353,6 +353,20 @@ class TestTraceback:
         assert a.total >= 600
         assert peak < bound
 
+    def test_witness_peak_on_the_memory_pair(self):
+        # the benchmark's 150 x 150 memory pair: the table takes 2-bit
+        # residues, 0.25 B/cell, where one byte per cell peaked at 3.3
+        rng = np.random.default_rng(150)
+        x, y = rng.integers(1, 1001, 150).tolist(), rng.integers(1, 1001, 150).tolist()
+        tracemalloc.start()
+        try:
+            a = op_traceback(op_lcs_kplus_state(x, y, 3))
+            peak = tracemalloc.get_traced_memory()[1] / (150 * 150)
+        finally:
+            tracemalloc.stop()
+        assert a.total == op_lcs_kplus_length(x, y, 3) > 0
+        assert peak < 3.0
+
     def test_walk_never_decodes_the_table(self, monkeypatch):
         xs, ys = EX_X + EX_X, EX_Y + EX_X
         state = op_lcs_kplus_state(xs, ys, 3)
@@ -370,13 +384,14 @@ class TestTraceback:
 
     @pytest.mark.parametrize("k, dtype", [(8, np.uint8)])
     def test_dtype_switch_points(self, k, dtype):
-        # the table holds scores modulo 2^bits in table_dtype(k), uint8 up to
-        # k=255; the total here is above 255, so uint8 scores wrap
+        # the table holds scores modulo 2^bits with 2^bits > k, two 4-bit
+        # residues to each uint8 byte at k=8; the total here is above 255, so
+        # the residues wrap many times
         rng = random.Random(k)
         xs = run_heavy(rng, 400)
         ys = tuple(2 * v - 3 for v in xs[:200]) + planted_pair(rng, xs, 200, k)
         state = op_lcs_kplus_state(xs, ys, k)
-        assert state.scores.dtype == dtype
+        assert state.scores.data.dtype == dtype and state.scores.bits == 4
         want = uncapped_scores(xs, ys, k)
         assert np.array_equal(state.lengths, want)
         assert state.length == int(want[-1, -1]) > 255
@@ -410,12 +425,12 @@ class TestTraceback:
     @pytest.mark.parametrize("k, size, table", [(3, 256, np.uint8)])
     def test_sweep_and_table_dtypes_differ(self, k, size, table):
         # min(m, n)=256: the sweep runs in uint16, and its rows are stored
-        # modulo 2^8 in the uint8 table of k=3
+        # modulo 2^2, four to each byte of the uint8 table of k=3
         rng = random.Random(k * size)
         xs = run_heavy(rng, 300)
         ys = tuple(2 * v - 3 for v in xs[: size // 2]) + planted_pair(rng, xs, size - size // 2, k)
         state = op_lcs_kplus_state(xs, ys, k)
-        assert state.scores.dtype == table
+        assert state.scores.data.dtype == table and state.scores.bits == 2
         want = int32_scores(xs, ys, k)
         assert np.array_equal(state.lengths, want)
         assert state.length == int(want[-1, -1]) == op_lcs_kplus_length(xs, ys, k)
@@ -425,11 +440,11 @@ class TestTraceback:
 
     def test_scores_wrap_around(self):
         # a 700-value run series against 3v+7 of itself: the total is 700,
-        # so uint8 scores wrap twice along the diagonal
+        # so 2-bit residues wrap 175 times along the diagonal
         xs = run_heavy(random.Random(700), 700)
         ys = tuple(3 * v + 7 for v in xs)
         state = op_lcs_kplus_state(xs, ys, 3)
-        assert state.scores.dtype == np.uint8 and state.length == 700
+        assert state.scores.bits == 2 and state.length == 700
         want = int32_scores(xs, ys, 3)
         assert np.array_equal(state.lengths, want)
         assert op_traceback(state) == int32_walk(state, want)
