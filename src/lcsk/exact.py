@@ -13,21 +13,22 @@ drives with its rows over the shorter sequence.
 
 Lengths and witnesses each have two routes, and the count r of chunk-end
 cells, where the length-k windows match, picks one; one sort of each
-side's window ids gives it, and the cells too (_sparse).  Below one chunk-end cell in 1/_SPARSE_SHARE window pairs,
-_point_dp computes the LCSk++ recurrence over those cells alone, in
-O((m + n) log n + r log min(m, n)) Python steps and O(m + n) memory plus
-the cells of k+1 rows; for a witness, MODE.align has _point_walk keep the
-score of every cell and walk them in O(m + n + r) memory, to traceback's
-chunks.  Otherwise the row loop runs in O(mn) time.  For a length it
-keeps its rings alone, over the longer sequence: O(k * (m + n)) ints with
-the window ids.  For a witness, compute_tables has _sweep store each
-finished score row modulo 2^bits, with 2^bits > k: packed 1, 2 or 4 bits
-to a cell for k < 16, a quarter byte at k = 2 or 3, and a byte per cell
-up to k = 255 (see core.DpState); compute_tables always takes this
-route.  traceback only tests whether a cell holds a given score, which
-the residue decides (core.walk_chunks), and never builds the int32 table.
-chunk_max_table builds the full chunk_max grid from its definition, out
-of the score table and match_run_table, for display and tests.
+side's window ids gives it, and the cells too (_sparse).  Below one
+chunk-end cell in 1/_SPARSE_SHARE window pairs, _point_dp computes the
+LCSk++ recurrence over those cells alone, in O((m + n) log n + r log
+min(m, n)) Python steps and O(m + n) memory plus the cells of k+1 rows;
+for a witness, MODE.align has _point_walk keep the score of every cell
+and walk them in O(m + n + r) memory, to traceback's chunks.  Otherwise
+the row loop runs in O(mn) time.  For a length it keeps its rings alone,
+over the longer sequence: O(k * (m + n)) ints with the window ids.  For
+a witness, compute_tables has _sweep store each finished score row
+modulo 2^bits, with 2^bits > k: packed 1, 2 or 4 bits to a cell for
+k < 16, a quarter byte at k = 2 or 3, and a byte per cell up to k = 255
+(see core.DpState); compute_tables always takes this route.  traceback
+only tests whether a cell holds a given score, which the residue decides
+(core.walk_chunks), and never builds the int32 table.  chunk_max_table
+builds the full chunk_max grid from its definition, out of the score
+table and match_run_table, for display and tests.
 """
 
 from __future__ import annotations
