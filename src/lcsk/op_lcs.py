@@ -132,8 +132,13 @@ def _sweep(x_ids: np.ndarray, y_ids: np.ndarray, k: int, table=None) -> int:
 
     Rows live in a buffer of 2k finished rows above a group of blocks,
     after k-1 zero columns; after each group the last 2k rows slide to the
-    top, and the group's rows go to ``table`` first when it is given,
-    through a core.RowStore.  For row r of block g, at buffer row t + r
+    top.  When ``table`` is given, the rows go to it through a
+    core.RowStore before the slide, from the k rows above the group on:
+    the group's first block starts at row k, so its rows less its last k,
+    after the k above, start at a multiple of the group's rows (the last
+    group stores all of its own).  While the group's rows are a whole
+    number of bytes of the packed table, then, so is each block stored,
+    and the store packs it at once.  For row r of block g, at buffer row t + r
     with t = 2k + g*height, diag[g, w-k, r, j-k] is buffer[t+r-w, j-w],
     that is C[i-w, j-w], for the columns j >= k a chunk can end in;
     columns j < w read the zero columns.  Each group compares window ids
@@ -171,7 +176,7 @@ def _sweep(x_ids: np.ndarray, y_ids: np.ndarray, k: int, table=None) -> int:
     views = [(diag[g], hit[g], block[g, :, k:], block[g],
               [(rows[r], rows[r - 1]) for r in range(top + g * height, top + (g + 1) * height)])
              for g in range(group)]
-    store = RowStore(table, k) if table is not None else None
+    store = RowStore(table, 0) if table is not None else None
     bufsize = np.setbufsize(_BUFSIZE)
     try:
         for b in range(0, blocks, group):
@@ -186,8 +191,8 @@ def _sweep(x_ids: np.ndarray, y_ids: np.ndarray, k: int, table=None) -> int:
                 np.maximum.accumulate(block_g, axis=1, out=block_g)
             i, end = k + b * height, top + count * height
             done = rows[top : min(end, top + m + 1 - i)]
-            if table is not None:
-                store.put(done)
+            if table is not None:  # from k rows above the group: see the docstring
+                store.put(rows[top - k : top - k + len(done) + (k if b + group >= blocks else 0)])
             flat[: top * width] = flat[(end - top) * width : end * width]  # memmove
         if table is not None:
             store.flush()
