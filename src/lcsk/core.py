@@ -87,10 +87,12 @@ def table_dtype(bound: int):
     return np.uint8 if bound <= 0xFF else np.uint16 if bound <= 0xFFFF else np.int32
 
 
-# RowStore packs at most this many staged rows at a time, and at most an
-# eighth of the table's rows, so the stage adds at most 1/8 B/cell; both
-# rounded down to a multiple of 8 // bits.
+# RowStore packs at most _STAGE staged rows at a time, and no more than an
+# eighth of the table's rows, so that the stage adds at most 1/8 B/cell,
+# unless that is under _STAGE_BYTES: on small tables each numpy call costs
+# far more than its cells.  Both are rounded down to whole bytes' rows.
 _STAGE = 32
+_STAGE_BYTES = 1024
 # Per bits: the factors 2^(bits * r) that move row r of a byte's rows to its bits.
 _WEIGHTS = {bits: (1 << bits * np.arange(8 // bits)).astype(np.uint8)[:, None] for bits in (1, 2, 4)}
 
@@ -167,7 +169,8 @@ class RowStore:
         self.packed, self.weights, self.mask = table.data, _WEIGHTS[table.bits], (1 << table.bits) - 1
         self.per = per = 8 // table.bits
         self.base = start - start % per
-        size = min(_STAGE, max(per, table.shape[0] // 8 // per * per), per * len(table.data) - self.base)
+        rows = max(table.shape[0] // 8, _STAGE_BYTES // table.shape[1]) // per * per
+        size = min(_STAGE, max(per, rows), per * len(table.data) - self.base)
         self.stage = np.zeros((size, table.shape[1]), np.uint8)
 
     def put(self, rows: np.ndarray, offset: int = 0):
