@@ -130,26 +130,26 @@ def _window_ids(xs: tuple, ys: tuple, k: int):
 def _sweep(x_ids: np.ndarray, y_ids: np.ndarray, k: int, table=None) -> int:
     """Fill the score table C in blocks of up to k rows; return C[m, n].
 
-    Rows live in a buffer of 2k finished rows above a group of blocks,
-    after k-1 zero columns; after each group the last 2k rows slide to the
-    top.  When ``table`` is given, the rows go to it through a
-    core.RowStore before the slide, from the k rows above the group on:
-    the group's first block starts at row k, so its rows less its last k,
-    after the k above, start at a multiple of the group's rows (the last
-    group stores all of its own).  While the group's rows are a whole
-    number of bytes of the packed table, then, so is each block stored,
-    and the store packs it at once.  For row r of block g, at buffer row t + r
-    with t = 2k + g*height, diag[g, w-k, r, j-k] is buffer[t+r-w, j-w],
-    that is C[i-w, j-w], for the columns j >= k a chunk can end in;
-    columns j < w read the zero columns.  Each group compares window ids
-    once, into one mask per block that holds w where the length-w windows
-    match and 0 elsewhere, so a block's candidates are diag + mask.  C is
-    monotone, so an unmatched candidate C[i-w, j-w] <= C[i-1, j] changes
-    no max.  The buffer, the masks and the candidates share
-    table_dtype(min(m, n)): a score is at most min(m, n), and so is a
-    matched candidate, at most min(i, j); w itself may wrap past min(m, n),
-    but no window that long fits, so its mask entries are 0.  Each block
-    position's views are built once.
+    Rows live in a buffer of 2k finished rows above a group of blocks, after
+    k-1 zero columns; after each group the last 2k rows slide to the top.
+    When ``table`` is given, each group's rows go to it through a
+    core.RowStore before the slide, shifted k rows up: the k finished rows
+    above the group and all but its last k, which the next group sends (the
+    last group sends all of its own).  As the first group starts at row k,
+    these blocks start at row 0 and then at multiples of the group's rows,
+    so while those are a whole number of bytes of the packed table, the
+    store packs each block at once.  For row r of block g, at buffer row t +
+    r with t = 2k + g*height, diag[g, w-k, r, j-k] is buffer[t+r-w, j-w],
+    that is C[i-w, j-w], for the columns j >= k a chunk can end in; columns
+    j < w read the zero columns.  Each group compares window ids once, into
+    one mask per block that holds w where the length-w windows match and 0
+    elsewhere, so a block's candidates are diag + mask.  C is monotone, so
+    an unmatched candidate C[i-w, j-w] <= C[i-1, j] changes no max.  The
+    buffer, the masks and the candidates share table_dtype(min(m, n)): a
+    score is at most min(m, n), and so is a matched candidate, at most
+    min(i, j); w itself may wrap past min(m, n), but no window that long
+    fits, so its mask entries are 0.  Each block position's views are built
+    once.
     """
     m, n = x_ids.shape[1] - 1, y_ids.shape[1] - 1
     cols = n + 1 - k
@@ -191,7 +191,7 @@ def _sweep(x_ids: np.ndarray, y_ids: np.ndarray, k: int, table=None) -> int:
                 np.maximum.accumulate(block_g, axis=1, out=block_g)
             i, end = k + b * height, top + count * height
             done = rows[top : min(end, top + m + 1 - i)]
-            if table is not None:  # from k rows above the group: see the docstring
+            if table is not None:  # shifted k rows up: see the docstring
                 store.put(rows[top - k : top - k + len(done) + (k if b + group >= blocks else 0)])
             flat[: top * width] = flat[(end - top) * width : end * width]  # memmove
         if table is not None:
