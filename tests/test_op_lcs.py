@@ -355,7 +355,7 @@ class TestTraceback:
 
     def test_witness_peak_on_the_memory_pair(self):
         # the benchmark's 150 x 150 memory pair: the table takes 2-bit
-        # residues, 0.25 B/cell, where one byte per cell peaked at 3.3
+        # residues, 0.25 B/cell, where one byte per cell peaked at 3.4
         rng = np.random.default_rng(150)
         x, y = rng.integers(1, 1001, 150).tolist(), rng.integers(1, 1001, 150).tolist()
         tracemalloc.start()
