@@ -46,22 +46,26 @@ def has_nan(values) -> bool:
 
 def codes(values: tuple, mode: str) -> np.ndarray:
     """Integer codes of the symbols of ``values``, equal iff the symbols are;
-    in op mode they are dense ranks, ordered as the values.  The one check
-    of which symbols each mode accepts.
+    in op mode ordered as the values.  The one check of which symbols each
+    mode accepts.
 
-    Values that are all of type int and fit in int64 are ranked by one
-    np.unique: ints need no NaN or order check.  Others must be hashable
-    and free of NaN, bare or at any depth inside tuple and frozenset
-    values (see has_nan); exact mode codes them in first-seen order.  Op
-    mode sorts the distinct values, and each must then be below the next:
-    a partial order such as subset order on frozensets sorts, but its
-    ranks would not give order types.
+    Values that are all of type int and fit in int64 need no NaN or order
+    check.  In op mode they are their own codes, as int64: the op window
+    ids only compare codes.  In exact mode one np.unique ranks them, so
+    the codes lie below the alphabet size.  Others must be hashable and
+    free of NaN, bare or at any depth inside tuple and frozenset values
+    (see has_nan); exact mode codes them in first-seen order.  Op mode
+    ranks them densely: it sorts the distinct values, and each must then
+    be below the next, as a partial order such as subset order on
+    frozensets sorts, but its ranks would not give order types.
     """
     if set(map(type, values)) == {int}:  # not bool, not an int subclass
         try:
-            return np.unique(np.array(values, dtype=np.int64), return_inverse=True)[1]
+            ints = np.array(values, dtype=np.int64)
         except OverflowError:  # beyond int64
             pass
+        else:
+            return ints if mode == "op" else np.unique(ints, return_inverse=True)[1]
     try:
         keys = dict.fromkeys(values)  # first-seen order: reproducible errors
     except TypeError as exc:  # e.g. list values

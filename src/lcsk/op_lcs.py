@@ -58,7 +58,6 @@ order_iso and rmq; the solver calls neither.
 from __future__ import annotations
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 
 from .core import ChunkAlignment, DpState, Mode, RowStore, codes, table_dtype, walk_chunks
 
@@ -90,18 +89,19 @@ def _window_ids(xs: tuple, ys: tuple, k: int):
     x_ids and -2 in y_ids, so they match nothing.  When min(m, n) < k no
     chunk fits, and both have no rows.
 
-    Values are compared through their ranks, core.codes in op mode.  The
-    type of the length-w window ending at e is the type of the
-    length-(w-1) window ending at e-1 plus the place of the value at e
-    among that window's values: how many are smaller (0..w-1) and whether
-    one is equal.  Both grow by one comparison per w, and id * 2w + 2 *
-    below + equal is again one id per type.  The id range grows 2w-fold
-    per w; ids are re-ranked with np.unique only once it reaches
-    _RERANK_AT = 2^31, so they fit in int32 (never at k <= 5), which the
-    store checks.
+    Values are compared through core.codes in op mode: plain ints as
+    themselves, other values through their dense ranks.  The type of the
+    length-w window ending at e is the type of the length-(w-1) window
+    ending at e-1 plus the place of the value at e among that window's
+    values: how many are smaller (0..w-1) and whether one is equal.  Both
+    grow by one comparison per w, and id * 2w + 2 * below + equal is again
+    one id per type.  The id range grows 2w-fold per w; ids are re-ranked
+    with np.unique only once it reaches _RERANK_AT = 2^31, so they fit in
+    int32 (never at k <= 5).  Ids lie below the range, so the store scans
+    them for int32 only when the range passes 2^31.
     """
     m, n = len(xs), len(ys)
-    r = codes(xs + ys, "op")  # dense ranks
+    r = codes(xs + ys, "op")  # compared only by < and ==
     if min(m, n) < k:  # no chunk fits: the sweep, the walk and the grids read no ids
         return np.empty((0, m + 1), dtype=np.int32), np.empty((0, n + 1), dtype=np.int32)
     ids = np.zeros(m + n, dtype=np.int64)  # length 1: one type
@@ -120,7 +120,8 @@ def _window_ids(xs: tuple, ys: tuple, k: int):
             unique, ids[d:] = np.unique(ids[d:], return_inverse=True)
             span = len(unique)
         if w >= k:  # windows across the x|y seam get ids too, but are never read
-            if ids[w - 1 :].max() > _INT32_MAX:  # a slice store would wrap
+            # a slice store would wrap; ids < span, so only span > 2^31 needs the scan
+            if span > _INT32_MAX + 1 and ids[w - 1 :].max() > _INT32_MAX:
                 raise OverflowError(f"op window ids of length {w} do not fit in int32")
             x_ids[w - k, w:] = ids[w - 1 : m]
             y_ids[w - k, w:] = ids[m + w - 1 :]
@@ -169,9 +170,11 @@ def _sweep(x_ids: np.ndarray, y_ids: np.ndarray, k: int, table=None) -> int:
     cand = np.empty(hit.shape[1:], dtype=dtype)
     plus_w = np.arange(k, 2 * k).astype(dtype)[:, None, None]
     s0, s1 = buf.strides
-    strides = (height * s0, -s0 - s1, s0, s1)
+    # diag[0, 0, 0, 0] is buf[top - k, k - 1]; numpy checks that the view fits in buf
+    diag = np.ndarray(hit.shape, dtype, buffer=buf, offset=(top - k) * s0 + (k - 1) * s1,
+                      strides=(height * s0, -s0 - s1, s0, s1))
+    diag.flags.writeable = False
     rows = buf[:, k - 1 :]
-    diag = as_strided(rows[top - k :], hit.shape, strides, writeable=False)
     block, flat = rows[top:].reshape(group, height, n + 1), buf.reshape(-1)
     views = [(diag[g], hit[g], block[g, :, k:], block[g],
               [(rows[r], rows[r - 1]) for r in range(top + g * height, top + (g + 1) * height)])

@@ -48,6 +48,21 @@ def int32_scores(xs, ys, k):
     return table
 
 
+def rowwise_scores(xs, ys, k):
+    """The score table row by row from the window ids, with one numpy step
+    per row and chunk length: none of the sweep's blocks, groups or views."""
+    x_ids, y_ids = lcsk.op_lcs._window_ids(tuple(xs), tuple(ys), k)
+    m, n = len(xs), len(ys)
+    c = np.zeros((m + 1, n + 1), dtype=np.int64)
+    for i in range(k, m + 1 if min(m, n) >= k else 0):
+        row = c[i - 1].copy()
+        for w in range(k, min(i, n, 2 * k - 1) + 1):
+            match = x_ids[w - k, i] == y_ids[w - k, w:]
+            np.maximum(row[w:], np.where(match, c[i - w, : n + 1 - w] + w, 0), out=row[w:])
+        c[i] = np.maximum.accumulate(row)
+    return c
+
+
 def int32_walk(state, table):
     """Reference walk over an int32 table: shortest chunk first, among the
     lengths k..2k-1 whose window ids match at (i, j)."""
@@ -312,6 +327,60 @@ class TestState:
             assert a.total == 0 and a.chunks == ()
 
 
+class TestDiagonalView:
+    """The sweep's diagonal view at the edges of its buffer: the fewest rows
+    and columns, a single chunk column, the flipped sweep, and blocks of
+    fewer than k rows.  numpy refuses a view that overruns its buffer, and
+    a view that stays inside but reads the wrong cells gives wrong scores."""
+
+    @pytest.mark.parametrize("k", [2, 3, 5])
+    def test_shortest_inputs(self, k):
+        # min(m, n) in {k, k+1} against a longer side, in both orders (m > n
+        # flips the sweep); m == n == k leaves one chunk column
+        rng = random.Random(k)
+        for short in (k, k + 1):
+            for long_ in (short, k + 1, 3 * k, 20):
+                for _ in range(15):
+                    xs = tuple(rng.randint(1, 4) for _ in range(short))
+                    ys = tuple(rng.randint(1, 4) for _ in range(long_))
+                    want = naive_op_lcs_kplus(xs, ys, k)
+                    for a, b in ((xs, ys), (ys, xs)):
+                        assert op_lcs_kplus_length(a, b, k) == want
+                        state = op_lcs_kplus_state(a, b, k)
+                        assert np.array_equal(state.lengths, uncapped_scores(a, b, k))
+                        alignment = op_traceback(state)
+                        assert alignment.total == want
+                        assert validate_alignment(a, b, Params(k=k, mode="op"), alignment)
+
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_one_chunk_column(self, k):
+        # the sweep run directly over the longer input: n + 1 - k = 1 column
+        rng = random.Random(10 + k)
+        for m in (k, k + 1, 2 * k, 25):
+            for _ in range(10):
+                xs = tuple(rng.randint(1, 3) for _ in range(m))
+                ys = tuple(rng.randint(1, 3) for _ in range(k))
+                assert np.array_equal(int32_scores(xs, ys, k), uncapped_scores(xs, ys, k))
+
+    def test_blocks_below_k_rows(self, monkeypatch):
+        # at k = 12 on 2000 columns the mask budget cuts blocks to 10 rows
+        # in groups of one; a budget of 1 cuts them to one row, and a large
+        # one gives full blocks in groups of 8: the row-by-row table each time
+        k, rng = 12, random.Random(12)
+        xs = run_heavy(rng, 2000)
+        ys = planted_pair(rng, xs, 300, k)
+        want = rowwise_scores(xs, ys, k)
+        assert want[-1, -1] >= 10 * k
+        for budget in (1, lcsk.op_lcs._MASK_ELEMENTS, 1 << 30):
+            monkeypatch.setattr(lcsk.op_lcs, "_MASK_ELEMENTS", budget)
+            state = op_lcs_kplus_state(xs, ys, k)
+            assert op_lcs_kplus_length(xs, ys, k) == op_lcs_kplus_length(ys, xs, k) == state.length
+            alignment = op_traceback(state)
+            assert alignment.total == state.length >= k
+            assert validate_alignment(xs, ys, Params(k=k, mode="op"), alignment)
+            assert np.array_equal(state.lengths, want)
+
+
 class TestTraceback:
     def test_example_alignment(self):
         state = op_lcs_kplus_state(EX_X, EX_Y, 3)
@@ -497,8 +566,9 @@ class TestRanksAndIds:
 
     @given(st.lists(ints, min_size=1, max_size=40))
     def test_int_path_gives_the_general_ranks(self, values):
-        # both modes: op codes are the ranks, exact codes split the values
-        # into the same classes as the first-seen codes of the general path
+        # op codes are the int64 values themselves, whose ranks are the
+        # general path's; exact codes split the values into the same
+        # classes as the first-seen codes of the general path
         ranks = [sorted(set(values)).index(v) for v in values]
         first_seen = [list(dict.fromkeys(values)).index(v) for v in values]
         for mode, want in (("op", ranks), ("exact", first_seen)):
@@ -509,9 +579,45 @@ class TestRanksAndIds:
             assert fast.dtype == general.dtype == np.int64
             assert np.array_equal(general, want)
             if mode == "op":
-                assert np.array_equal(fast, general)
+                assert fast.tolist() == values
+                assert np.array_equal(np.unique(fast, return_inverse=True)[1], general)
             else:  # the same classes: the codes correspond one to one
                 assert len(set(zip(fast.tolist(), want))) == len(set(want)) == len(set(fast.tolist()))
+
+    @given(st.lists(ints, max_size=30), st.lists(ints, max_size=30), st.sampled_from([2, 3, 4, 6, 12]))
+    @settings(max_examples=150)
+    def test_window_ids_from_values_and_ranks_agree(self, xs, ys, k):
+        # the ids only compare codes, so plain ints and the general path's
+        # dense ranks of the same values give the same ids, in both orders
+        for a, b in ((xs, ys), (ys, xs)):
+            fast = lcsk.op_lcs._window_ids(tuple(a), tuple(b), k)
+            general = lcsk.op_lcs._window_ids(tuple(map(_Int, a)), tuple(map(_Int, b)), k)
+            for got, want in zip(fast, general):
+                assert got.dtype == want.dtype == np.int32
+                assert np.array_equal(got, want)
+
+    def test_op_ints_skip_the_sort(self, monkeypatch):
+        # at k <= 5 an op solve on plain ints sorts nothing, on either path;
+        # an exact solve still ranks its values with one np.unique first
+        calls = []
+        unique = np.unique
+
+        def spy(values, *args, **kwargs):
+            calls.append(len(values))
+            return unique(values, *args, **kwargs)
+
+        monkeypatch.setattr(np, "unique", spy)
+        rng = random.Random(5)
+        for k in (2, 3, 4, 5):
+            xs = tuple(rng.randint(-10**12, 10**12) for _ in range(40))
+            ys = tuple(rng.choice(xs) for _ in range(30))
+            length = op_lcs_kplus_length(xs, ys, k)
+            state = op_lcs_kplus_state(ys, xs, k)
+            assert op_traceback(state).total == state.length == length
+            assert calls == []
+            assert lcs_kplus_length(xs, ys, k) == naive_lcs_kplus(xs, ys, k)
+            assert calls[0] == len(xs) + len(ys)
+            calls.clear()
 
     @pytest.mark.parametrize("f", [
         lambda v: v + 2**63,  # beyond int64
