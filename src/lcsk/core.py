@@ -6,14 +6,16 @@ paired substrings must be equal; in order-preserving (op) mode they must
 be order-isomorphic.
 
 Both modes solve one recurrence that differs only in the chunk test: a
-Mode record holds each mode's steps, and Mode.solve drives every entry
-point.  Both chunk tests see the symbols only through codes, the one
-check of which symbols a mode accepts, after as_items coerces the inputs.
+Mode record holds each mode's steps, Mode.plan makes each request's one
+route decision, and Mode.solve and Mode.align carry it out.  Both chunk
+tests see the symbols only through codes, the one check of which symbols
+a mode accepts, after as_items coerces the inputs.
 """
 
 from __future__ import annotations
 
 import numbers
+from collections import namedtuple
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
@@ -278,7 +280,9 @@ class DpState:
     above a table_dtype(k) grid, uint8 up to k = 255, uint16 up to 65535,
     int32 above.  Walks read it only through score_test, whose equality
     tests the residue decides.  length is the exact C[m, n].  x_ids and
-    y_ids are the mode's window ids, which match where a chunk can end.
+    y_ids are the mode's window ids, which match where a chunk can end,
+    1-D in exact mode and 2-D in op mode (see check_mode); xs and ys are
+    the symbols, which exact.traceback checks its inputs against.
     """
 
     k: int
@@ -286,6 +290,12 @@ class DpState:
     scores: Any  # (m+1) x (n+1), C modulo 2^bits: a PackedTable or a grid
     x_ids: np.ndarray
     y_ids: np.ndarray
+    xs: tuple
+    ys: tuple
+
+    def check_mode(self, ndim: int):  # a walk's refusal of the other mode's state
+        if self.x_ids.ndim != ndim:
+            raise ValueError("the state was computed in the other mode")
 
     @property
     def lengths(self) -> np.ndarray:
@@ -375,63 +385,71 @@ def walk_chunks(scores, total: int, k: int, chunk_lengths) -> ChunkAlignment:
     return ChunkAlignment(total=total, chunks=tuple(chunks))
 
 
+# A request's route and what it needs (Mode.plan); a dataclass would cost ~0.7 ms per import
+Plan = namedtuple("Plan", "route k xs ys flip ids r cells", defaults=(None, None))
+
+
 @dataclass(frozen=True)
 class Mode:
-    """A matching mode's steps, and the two drivers that run them: solve
-    for lengths and witness tables, align for witnesses.
+    """A matching mode's steps, and the drivers that run them: plan, then
+    solve for lengths and witness tables, or align for witnesses.
 
     window_ids(xs, ys, k) checks the symbols of two tuples and gives ids
     to their windows, equal where a chunk can end; sweep(x_ids, y_ids, k,
     table) returns C[m, n] and, unless ``table`` is None, stores its rows
     there through a RowStore, modulo 2^bits of the table; walk(state, x,
-    y, k) reads a DpState back into a ChunkAlignment.  point_walk(x_ids,
-    y_ids, k), if the mode has one, gives walk's alignment from the
-    chunk-end cells alone, or None to leave it to the table.
+    y, k) reads a DpState back into a ChunkAlignment.  A point route adds
+    sparse(x_ids, y_ids): r, the count of chunk-end cells, and the cells if
+    few enough, else None; point_dp(cells, k) gives C[m, n] from them and
+    point_walk(cells, m, n, k) walk's alignment.
     """
 
     name: str
     window_ids: Callable
     sweep: Callable
     walk: Callable
+    sparse: Callable | None = None
+    point_dp: Callable | None = None
     point_walk: Callable | None = None
 
-    def solve(self, x, y, k, witness: bool = False):
-        """C[m, n], or with ``witness`` the DpState walk reads; the length
-        path keeps no table.  Both recurrences are symmetric, so the rows
-        run over the shorter input, over x when m == n: for m > n the sweep
-        solves (y, x) into the transpose of the table, and the ids are
-        swapped back."""
-        k, xs, ys, ids = self._ids(x, y, k)
-        if witness:
-            return self._state(xs, ys, k, ids)
-        return self.sweep(*ids, k, None) if min(len(xs), len(ys)) >= k else 0
-
-    def align(self, x, y, k) -> ChunkAlignment:
-        """walk's alignment of solve's witness state: the witness driver.
-        point_walk, given the window ids in the (x, y) frame, gives it
-        without the (m+1) x (n+1) table when the mode's chunk-end cells
-        are few enough."""
-        k, xs, ys, ids = self._ids(x, y, k)
-        m, n = len(xs), len(ys)
-        if self.point_walk is not None and min(m, n) >= k:
-            alignment = self.point_walk(*(ids[::-1] if m > n else ids), k)
-            if alignment is not None:
-                return alignment
-        return self.walk(self._state(xs, ys, k, ids), xs, ys, k)
-
-    def _ids(self, x, y, k):
-        """The checked k, both symbol tuples, and the window ids with the
-        shorter input first."""
+    def plan(self, x, y, k) -> Plan:
+        """The checked k, the symbol tuples, the window ids and the route,
+        before any table or score row exists: "empty" if min(m, n) < k,
+        "points" if sparse gives cells (in the (x, y) frame), else "rows".
+        Both recurrences are symmetric, so the sweep runs over the shorter
+        input, x on a tie: flip is m > n, and the ids are then of (y, x)."""
         k = check_k(k, self.name)
         xs, ys = as_items(x), as_items(y)
-        return k, xs, ys, self.window_ids(*((ys, xs) if len(xs) > len(ys) else (xs, ys)), k)
+        flip = len(xs) > len(ys)
+        ids = self.window_ids(*((ys, xs) if flip else (xs, ys)), k)
+        if min(len(xs), len(ys)) < k:
+            return Plan("empty", k, xs, ys, flip, ids)
+        r, cells = self.sparse(*(ids[::-1] if flip else ids)) if self.sparse else (None, None)
+        return Plan("rows" if cells is None else "points", k, xs, ys, flip, ids, r, cells)
 
-    def _state(self, xs: tuple, ys: tuple, k: int, ids) -> DpState:
-        m, n = len(xs), len(ys)
-        flip = m > n
-        table = zeros_table(m + 1, n + 1, k)  # rows < k score 0
-        length = self.sweep(*ids, k, table.T if flip else table) if min(m, n) >= k else 0
-        return DpState(k, length, table, *(ids[::-1] if flip else ids))
+    def solve(self, x, y, k, witness: bool = False):
+        """C[m, n] by the plan's route, keeping no table; with ``witness`` the
+        DpState walk reads, its table swept on any route (the transpose if m > n)."""
+        plan = self.plan(x, y, k)
+        if witness:
+            return self._state(plan)
+        if plan.route == "points":
+            return self.point_dp(plan.cells, plan.k)
+        return self.sweep(*plan.ids, plan.k, None) if plan.route == "rows" else 0
+
+    def align(self, x, y, k) -> ChunkAlignment:
+        """walk's alignment: from the cells alone on the points route, with
+        no (m+1) x (n+1) table, else from solve's witness state."""
+        plan = self.plan(x, y, k)
+        if plan.route == "points":
+            return self.point_walk(plan.cells, len(plan.xs), len(plan.ys), plan.k)
+        return self.walk(self._state(plan), plan.xs, plan.ys, plan.k)
+
+    def _state(self, plan: Plan) -> DpState:
+        k, xs, ys, flip, ids = plan.k, plan.xs, plan.ys, plan.flip, plan.ids
+        table = zeros_table(len(xs) + 1, len(ys) + 1, k)  # rows < k score 0
+        length = self.sweep(*ids, k, table.T if flip else table) if plan.route != "empty" else 0
+        return DpState(k, length, table, *(ids[::-1] if flip else ids), xs, ys)
 
 
 def validate_alignment(x, y, params: Params, alignment: ChunkAlignment) -> bool:

@@ -8,23 +8,23 @@ Quadratic DP over two quantities:
 
 Rows only depend on rows i-1 and i-k of lengths and row i-1 of chunk_max,
 so one numpy row loop, _sweep, runs on a ring of k+1 score rows and two
-chunk_max rows for both entry points, which MODE.solve (see core.Mode)
-drives with its rows over the shorter sequence.
+chunk_max rows for both entry points, with its rows over the shorter
+sequence (see core.Mode).
 
-Lengths and witnesses each have two routes, and the count r of chunk-end
-cells, where the length-k windows match, picks one; one sort of each
-side's window ids gives it, and the cells too (_sparse).  Below one
-chunk-end cell in 1/_SPARSE_SHARE window pairs, _point_dp computes the
-LCSk++ recurrence over those cells alone, in O((m + n) log n + r log
-min(m, n)) Python steps and O(m + n) memory plus the cells of k+1 rows;
-for a witness, MODE.align has _point_walk keep the score of every cell
-and walk them in O(m + n + r) memory, to traceback's chunks.  Otherwise
-the row loop runs in O(mn) time.  For a length it keeps its rings alone,
-over the longer sequence: O(k * (m + n)) ints with the window ids.  For
-a witness, compute_tables has _sweep store each finished score row
-modulo 2^bits, with 2^bits > k: packed 1, 2 or 4 bits to a cell for
-k < 16, a quarter byte at k = 2 or 3, and a byte per cell up to k = 255
-(see core.DpState); compute_tables always takes this route.  traceback
+MODE.plan picks each request's route from the count r of chunk-end
+cells, where the length-k windows match; one sort of each side's window
+ids gives it, and the cells too (_sparse).  Below one in 1/_SPARSE_SHARE
+window pairs, the points route: _point_dp computes the LCSk++ recurrence
+over those cells alone, in O((m + n) log n + r log min(m, n)) Python
+steps and O(m + n) memory plus the cells of k+1 rows; for a witness,
+_point_walk keeps the score of every cell and walks them in O(m + n + r)
+memory, to traceback's chunks.  Otherwise the rows route runs the row
+loop in O(mn) time.  For a length it keeps its rings alone, over the
+longer sequence: O(k * (m + n)) ints with the window ids.  For a witness
+_sweep stores each finished score row modulo 2^bits, with 2^bits > k:
+packed 1, 2 or 4 bits to a cell for k < 16, a quarter byte at k = 2 or
+3, and a byte per cell up to k = 255 (see core.DpState); compute_tables
+always takes this table, on either route.  traceback
 only tests whether a cell holds a given score, which the residue decides
 (core.walk_chunks), and never builds the int32 table.  chunk_max_table
 builds the full chunk_max grid from its definition, out of the score
@@ -68,8 +68,8 @@ def match_run_table(x, y) -> np.ndarray:
 
 def compute_tables(x, y, k: int) -> DpTables:
     """The score table modulo 2^bits, O(mn) bytes; feed the result to
-    traceback().  It is always built: MODE.align gives the same alignment
-    without it when the chunk-end cells are sparse (see _point_walk).
+    traceback().  It is built on either route: MODE.align gives the same
+    alignment without it on the points route (see _point_walk).
 
     _sweep, the row loop of the length path, fills the rows over the
     shorter input and stores each row as it finishes, through a stage of
@@ -146,42 +146,30 @@ def _id_runs(g: np.ndarray):
     return keys, ids[bounds[:-1]], bounds
 
 
-def _matches(xg: np.ndarray, yg: np.ndarray):
-    """The chunk-end cells, where the x and y window ids are equal, by
-    distinct x id: each one's count of x windows, and the start and width
-    of its run in the y positions sorted by id (width 0 if no y window has
-    it); also both position orders.  One _id_runs per side and a
-    searchsorted of distinct ids: O((m + n) log(m + n))."""
-    x_order, x_ids, x_bounds = _id_runs(xg)
-    y_order, y_ids, y_bounds = _id_runs(yg)
-    at = np.minimum(np.searchsorted(y_ids, x_ids), len(y_ids) - 1)
-    starts = y_bounds[at]
-    widths = (y_bounds[at + 1] - starts) * (y_ids[at] == x_ids)
-    return x_order, np.diff(x_bounds), y_order, starts, widths
-
-
-def _chunk_end_count(xg: np.ndarray, yg: np.ndarray) -> int:
-    """r, the number of window pairs with equal ids: the chunk-end cells."""
-    _, counts, _, _, widths = _matches(xg, yg)
-    return int(counts @ widths)
-
-
 def _sparse(xg: np.ndarray, yg: np.ndarray):
-    """The chunk-end cells row by row, as _point_dp takes them, if they are
+    """r, the number of chunk-end cells, where the x and y window ids are
+    equal; and the cells row by row, as _point_dp takes them, if they are
     fewer than _SPARSE_SHARE of the window pairs, so that the point DP
-    beats the row loop; else None.  Row rows[q] of the x windows meets
-    the columns order[starts[q]:ends[q]], in ascending order.  The count
-    and the cells come from one _matches, in O(m + n) memory; the row loop
-    pays only for the count."""
-    x_order, counts, order, run_starts, widths = _matches(xg, yg)
-    if counts @ widths >= _SPARSE_SHARE * len(xg) * len(yg):
-        return None
+    beats the row loop, else None.  Row rows[q] of the x windows meets the
+    columns order[starts[q]:ends[q]], in ascending order.  One _id_runs
+    per side and a searchsorted of distinct ids give each distinct x id
+    its count of x windows and the start and width of its run in the y
+    positions sorted by id (width 0 if no y window has it): O((m + n)
+    log(m + n)) time and O(m + n) memory; the row loop pays only for r."""
+    x_order, x_ids, x_bounds = _id_runs(xg)
+    order, y_ids, y_bounds = _id_runs(yg)
+    at = np.minimum(np.searchsorted(y_ids, x_ids), len(y_ids) - 1)
+    counts, run_starts = np.diff(x_bounds), y_bounds[at]
+    widths = (y_bounds[at + 1] - run_starts) * (y_ids[at] == x_ids)
+    r = int(counts @ widths)
+    if r >= _SPARSE_SHARE * len(xg) * len(yg):
+        return r, None
     starts, ends = np.empty_like(x_order), np.empty_like(x_order)
     starts[x_order] = np.repeat(run_starts, counts)
     ends[x_order] = np.repeat(widths, counts)
     ends += starts
     rows = np.flatnonzero(ends > starts)
-    return rows, starts[rows], ends[rows], order
+    return r, (rows, starts[rows], ends[rows], order)
 
 
 def _point_dp(cells, k: int, scores=None) -> int:
@@ -235,11 +223,10 @@ def _point_dp(cells, k: int, scores=None) -> int:
     return best[-1]
 
 
-def _point_walk(xg: np.ndarray, yg: np.ndarray, k: int):
-    """traceback's alignment from the chunk-end cells alone, in O(m + n + r)
-    memory, or None when they are not sparse (see _sparse): then the
-    witness takes the table.  xg and yg are the window ids in the caller's
-    (x, y) frame, so that left before up means what it means in the table.
+def _point_walk(cells, m: int, n: int, k: int) -> ChunkAlignment:
+    """traceback's alignment of an m x n pair from the chunk-end cells of
+    MODE.plan's points route alone, in O(m + n + r) memory; the cells are
+    in the (x, y) frame, so that left before up means what it does there.
 
     _point_dp keeps F of every cell.  C(t, u) is the largest F over the
     cells up to row t and column u, and F <= C at every cell, so the table
@@ -261,9 +248,6 @@ def _point_walk(xg: np.ndarray, yg: np.ndarray, k: int):
     whose up-left neighbour is a chunk-end cell with F one less, and ``up``
     gives that neighbour's index.
     """
-    cells = _sparse(xg, yg)
-    if cells is None:
-        return None
     scores = array("q")
     total = _point_dp(cells, k, scores)
     rows, starts, ends, order = cells
@@ -271,15 +255,16 @@ def _point_walk(xg: np.ndarray, yg: np.ndarray, k: int):
     ct = np.repeat(rows, counts)  # the cells in row-major order
     cu = order[np.arange(len(ct)) + np.repeat(starts - np.cumsum(counts) + counts, counts)]
     cf = np.frombuffer(scores, dtype=np.int64)
-    keys = ct * len(yg) + cu  # ascending
-    back = keys - len(yg) - 1  # the keys of (t-1, u-1); for u = 0 it wraps to
+    cols = n - k + 1  # the y windows
+    keys = ct * cols + cu  # ascending
+    back = keys - cols - 1  # the keys of (t-1, u-1); for u = 0 it wraps to
     up = np.searchsorted(keys, back)  # row t-1, but F = k there and F >= k everywhere
     extends = (keys[up] == back) & (cf[up] == cf - 1)
     by_score = np.argsort(cf.astype(table_dtype(total)), kind="stable")  # by F, row, column; radix
     groups = np.searchsorted(cf[by_score], np.arange(total + 2)).tolist()
     gt, gu, by_score, up, extends = map(memoryview, (ct[by_score], cu[by_score], by_score, up, extends))
     chunks = []
-    t, u, s = len(xg) - 1, len(yg) - 1, total
+    t, u, s = m - k, n - k, total
     while s:
         lo, hi = groups[s], groups[s + 1]  # the cells with F == s
         a = bisect_left(gt, t, lo, hi)
@@ -301,10 +286,9 @@ def _point_walk(xg: np.ndarray, yg: np.ndarray, k: int):
 def _sweep(xg: np.ndarray, yg: np.ndarray, k: int, table=None) -> int:
     """Fill rows k..m of the score table C over the window ids; return C[m, n].
 
-    Without a table, when the chunk-end cells are fewer than _SPARSE_SHARE
-    of the window pairs, _point_dp returns C[m, n] from them alone.  Their
-    count r comes from sorted keys of the ids (_sparse), freed before the
-    rings are allocated, so it does not raise the row loop's peak.
+    MODE.plan's rows route runs it, and every witness table.  The plan's
+    count of chunk-end cells frees its sorted keys of the ids (_sparse)
+    before the rings are allocated, so it does not raise their peak.
 
     Row i is kept with offset m + 1 - i, in a ring of k+1 score rows
     h = C + m + 1 - i, beside a ring of two chunk rows e = chunk_max +
@@ -320,10 +304,6 @@ def _sweep(xg: np.ndarray, yg: np.ndarray, k: int, table=None) -> int:
     is O(n) work of any weight.  When ``table`` is given, each finished
     row goes to it without its offset, through a core.RowStore.
     """
-    if table is None:
-        cells = _sparse(xg, yg)
-        if cells is not None:
-            return _point_dp(cells, k)
     m, n = len(xg) + k - 1, len(yg) + k - 1
     h = np.empty((k + 1, n + 1), dtype=np.int32)
     h[:] = (m + 1 - np.arange(k + 1, dtype=np.int32))[:, None]  # rows 0..k score 0
@@ -352,12 +332,12 @@ def _sweep(xg: np.ndarray, yg: np.ndarray, k: int, table=None) -> int:
 
 
 def lcs_kplus_length(x, y, k: int) -> int:
-    """LCS_{k+} length, from _sweep without a table.  The r chunk-end cells
-    pick the route: below one in 1/_SPARSE_SHARE window pairs the point DP,
-    O((m + n) log n + r log min(m, n)) Python steps and O(m + n) memory plus
-    the cells of k+1 rows; otherwise the row loop, O(mn) time and O(k * (m + n))
-    memory, its k+1 ring rows over the longer sequence.  Witnesses take the
-    same choice in MODE.align."""
+    """LCS_{k+} length, with no table, by MODE.plan's route, which the r
+    chunk-end cells pick: below one in 1/_SPARSE_SHARE window pairs the
+    point DP, O((m + n) log n + r log min(m, n)) Python steps and O(m + n)
+    memory plus the cells of k+1 rows; otherwise the row loop, O(mn) time
+    and O(k * (m + n)) memory, its k+1 ring rows over the longer sequence.
+    MODE.align follows the same plan for witnesses."""
     return MODE.solve(x, y, k)
 
 
@@ -398,8 +378,8 @@ def traceback(tables: DpTables, x, y, k: int) -> ChunkAlignment:
     costs O(1); elsewhere the run is counted on window ids.  Each read
     tests a residue (core.walk_chunks), so the int32 table is never built.
     """
-    m, n = len(as_items(x)), len(as_items(y))
-    if tables.k != k or tables.scores.shape != (m + 1, n + 1):
+    tables.check_mode(1)
+    if tables.k != k or tables.xs != as_items(x) or tables.ys != as_items(y):
         raise ValueError("tables were computed for other inputs or another k")
     xg, yg = tables.x_ids.tolist(), tables.y_ids.tolist()
     equals = score_test(tables.scores)
@@ -416,4 +396,4 @@ def traceback(tables: DpTables, x, y, k: int) -> ChunkAlignment:
     return walk_chunks(tables.scores, tables.length, k, chunk_lengths)
 
 
-MODE = Mode("exact", _window_ids, _sweep, walk=traceback, point_walk=_point_walk)
+MODE = Mode("exact", _window_ids, _sweep, traceback, _sparse, _point_dp, _point_walk)

@@ -225,8 +225,9 @@ def op_traceback(state: OpDpState) -> ChunkAlignment:
     otherwise step left, then up.  Only lengths up to 2k-1 are tried (see
     the module docstring), and those whose ids match at (i, j) form a
     prefix of k..2k-1.  Each read tests a residue (core.walk_chunks), so
-    the int32 table is never built.
+    the int32 table is never built.  The state must be op mode's.
     """
+    state.check_mode(2)
     k = state.k
     x_ids, y_ids = state.x_ids.tolist(), state.y_ids.tolist()
 

@@ -318,7 +318,9 @@ class TestPackedTable:
 
 
 class TestOrientation:
-    """Mode.solve sweeps its rows over the shorter input, x on a tie."""
+    """Mode.solve sweeps its rows over the shorter input, x on a tie.  The
+    tests force exact's rows route, as a length on the points route does
+    not sweep."""
 
     @staticmethod
     def spied(mode):
@@ -340,7 +342,8 @@ class TestOrientation:
             assert contiguous  # the packed rows of the table the sweep fills
 
     @pytest.mark.parametrize("mode", sorted(MODES))
-    def test_rows_run_over_the_shorter_input(self, mode):
+    def test_rows_run_over_the_shorter_input(self, mode, monkeypatch):
+        monkeypatch.setattr(exact, "_SPARSE_SHARE", 0)
         mode, k = MODES[mode], 3
         rng = random.Random(3)
         xs = tuple(rng.randint(1, 6) for _ in range(12))
@@ -366,7 +369,8 @@ class TestOrientation:
             assert got.total == a and validate_alignment(x, y, params, got)
 
     @pytest.mark.parametrize("mode", sorted(MODES))
-    def test_equal_lengths_keep_the_argument_order(self, mode):
+    def test_equal_lengths_keep_the_argument_order(self, mode, monkeypatch):
+        monkeypatch.setattr(exact, "_SPARSE_SHARE", 0)
         mode, k = MODES[mode], 3
         xs, ys = (3, 1, 4, 1, 5, 9, 2, 6, 5, 3), (2, 7, 1, 8, 2, 8, 1, 8, 2, 8)
         assert not np.array_equal(mode.window_ids(xs, ys, k)[0], mode.window_ids(ys, xs, k)[0])

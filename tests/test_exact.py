@@ -14,7 +14,6 @@ from lcsk.cli import main
 from lcsk.core import Params, validate_alignment, walk_chunks
 from lcsk.exact import (
     DpTables,
-    _chunk_end_count,
     _sweep,
     _window_ids,
     chunk_max_table,
@@ -56,8 +55,8 @@ ROUTES = ("dense", "sparse")
 
 @contextlib.contextmanager
 def forced(route):
-    """Make _sweep take one route on the length path: r < 0 * cells never
-    holds, and r < inf * cells always does."""
+    """Make MODE.plan pick one route when some chunk fits: r < 0 * cells
+    never holds, and r < inf * cells always does."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(exact, "_SPARSE_SHARE", 0 if route == "dense" else float("inf"))
         yield
@@ -249,23 +248,45 @@ class TestRoutes:
     def test_route_follows_the_chunk_end_count(self, monkeypatch, k, sparse):
         # sigma = 4 leaves one window pair in 4^k a chunk end: k = 8 goes
         # sparse, and criterion 10's pair at k = 3 stays dense
-        calls = []
-        point_dp = exact._point_dp
-        monkeypatch.setattr(exact, "_point_dp", lambda *a: calls.append(a) or point_dp(*a))
         xs, ys = generate_pair("exact", 2000, 4, 20260825)
+        assert exact.MODE.plan(xs, ys, k).route == ("points" if sparse else "rows")
         length = lcs_kplus_length(xs, ys, k)
-        assert len(calls) == sparse
         monkeypatch.setattr(exact, "_SPARSE_SHARE", float("inf") if not sparse else 0)
+        assert exact.MODE.plan(xs, ys, k).route == ("rows" if sparse else "points")
         assert lcs_kplus_length(xs, ys, k) == length
 
     def test_chunk_end_count(self):
+        # the plan's r, in either argument order and on either route
         rng = random.Random(3)
         for _ in range(50):
             k = rng.randint(1, 4)
             x = tuple(rng.randrange(3) for _ in range(rng.randint(k, 30)))
             y = tuple(rng.randrange(3) for _ in range(rng.randint(k, 30)))
-            runs = match_run_table(x, y)
-            assert _chunk_end_count(*_window_ids(x, y, k)) == int((runs >= k).sum())
+            want = int((match_run_table(x, y) >= k).sum())
+            for route in ROUTES:
+                with forced(route):
+                    assert exact.MODE.plan(x, y, k).r == exact.MODE.plan(y, x, k).r == want
+
+    def test_plan_routes(self):
+        # no chunk fits: the empty route, with the symbols still checked
+        for x, y, k in (("", "", 1), ("ab", "abab", 3), ("abab", "ab", 3)):
+            for route in ROUTES:
+                with forced(route):
+                    assert exact.MODE.plan(x, y, k).route == "empty"
+        with pytest.raises(TypeError, match="hashable"):
+            exact.MODE.plan([[1]], [[1], [2]], 2)
+        # the rows route sweeps the shorter input first; the points route's
+        # cells are in the (x, y) frame
+        x, y = "acgtacgtaa", "acg"
+        with forced("dense"):
+            plan = exact.MODE.plan(x, y, 2)
+        assert (plan.route, plan.flip, plan.cells) == ("rows", True, None)
+        assert [len(ids) for ids in plan.ids] == [2, 9]
+        with forced("sparse"):
+            plan = exact.MODE.plan(x, y, 2)
+        rows, starts, ends, order = plan.cells
+        assert plan.route == "points" and plan.r == 4 == int((ends - starts).sum())
+        assert rows.tolist() == [0, 1, 4, 5] and order.tolist() == [0, 1]
 
     @pytest.mark.parametrize("k, m, bound", [(8, 3000, 0.1), (3, 2000, 0.034)])
     def test_length_peak(self, k, m, bound):
@@ -273,8 +294,7 @@ class TestRoutes:
         # loop's bound is its peak without the count, whose sorted ids are
         # freed before the rings are allocated
         x, y = _dna_pair(k, m, m)
-        sparse = _chunk_end_count(*_window_ids(tuple(x), tuple(y), k)) < exact._SPARSE_SHARE * m * m
-        assert sparse == (k == 8)
+        assert exact.MODE.plan(x, y, k).route == ("points" if k == 8 else "rows")
         tracemalloc.start()
         try:
             length = lcs_kplus_length(x, y, k)
@@ -342,14 +362,13 @@ class TestPointWalk:
         x, y = _dna_pair(5, 2000, 3000)
         (tmp_path / "x").write_text(x)
         (tmp_path / "y").write_text(y)
-        points, tables = [], []
-        point_dp, zeros_table = exact._point_dp, core.zeros_table
-        monkeypatch.setattr(exact, "_point_dp", lambda *a: points.append(a) or point_dp(*a))
+        assert exact.MODE.plan(x, y, k).route == ("points" if sparse else "rows")
+        tables, zeros_table = [], core.zeros_table
         monkeypatch.setattr(core, "zeros_table", lambda *a: tables.append(a) or zeros_table(*a))
         argv = ["exact", str(tmp_path / "x"), str(tmp_path / "y"), "--k", str(k), "--chunks",
                 "--out", str(tmp_path / "out")]
         assert main(argv) == 0
-        assert (len(points), len(tables)) == ((1, 0) if sparse else (0, 1))
+        assert len(tables) == (not sparse)
         length, chunks = (tmp_path / "out").read_text().splitlines()
         assert int(length) == lcs_kplus_length(x, y, k) >= 2000 // 3
 
@@ -358,7 +377,7 @@ class TestPointWalk:
         # the table route peaks at about 1.03 B/cell here
         m, k = 3000, 8
         x, y = _dna_pair(k, m, m)
-        assert exact._sparse(*_window_ids(tuple(x), tuple(y), k))
+        assert exact.MODE.plan(x, y, k).route == "points"
         tracemalloc.start()
         try:
             got = exact.MODE.align(x, y, k)
@@ -447,6 +466,34 @@ class TestTraceback:
             with pytest.raises(ValueError, match="other inputs or another k"):
                 traceback(t, x, y, k)
 
+    @pytest.mark.parametrize("k, m, n", [(3, 12, 12), (3, 12, 8), (16, 40, 40), (16, 40, 30)])
+    def test_tables_of_other_symbols_rejected(self, k, m, n):
+        # another x, or y, of the same length, in both argument orders: on
+        # packed tables (k = 3), grids (k = 16) and flipped ones (m > n)
+        rng = random.Random(k * m * n)
+        x = "".join(rng.choice("ACGT") for _ in range(m))
+        y = x[m - n :] if n < m else x[4:] + "ACGT"
+
+        def other(s):
+            return ("C" if s[0] == "A" else "A") + s[1:]
+
+        for a, b in ((x, y), (y, x)):
+            t = compute_tables(a, b, k)
+            assert traceback(t, a, b, k).total == t.length >= k
+            for c, d in ((other(a), b), (a, other(b))):
+                with pytest.raises(ValueError, match="other inputs or another k"):
+                    traceback(t, c, d, k)
+        # once walked to total 8 with chunks ((1, 1, 3), (4, 6, 5)), which
+        # validate_alignment rejects
+        with pytest.raises(ValueError, match="other inputs or another k"):
+            traceback(compute_tables("ACGTACGTAA", "ACGTTTACGT", 3), "TTTTTTTTTT", "ACGTTTACGT", 3)
+
+    def test_state_of_the_other_mode_rejected(self):
+        # op's window ids are 2-D; walking them here raised IndexError
+        x, y = (3, 1, 4, 1, 5, 9, 2, 6), (2, 7, 1, 8, 3, 1, 4, 1)
+        with pytest.raises(ValueError, match="computed in the other mode"):
+            traceback(op_lcs_kplus_state(x, y, 3), x, y, 3)
+
     @given(seqs, seqs, st.integers(1, 5))
     def test_deterministic(self, xs, ys, k):
         t1 = traceback(compute_tables(xs, ys, k), xs, ys, k)
@@ -475,7 +522,7 @@ class TestTraceback:
         # (1.03 B/cell with one byte per cell)
         m, k = 2000, 3
         x, y = _dna_pair(1, m, m)
-        assert not exact._sparse(*_window_ids(tuple(x), tuple(y), k))
+        assert exact.MODE.plan(x, y, k).route == "rows"
         tracemalloc.start()
         try:
             got = exact.MODE.align(x, y, k)

@@ -406,6 +406,11 @@ class TestTraceback:
         state = op_lcs_kplus_state(EX_X, EX_Y, 3)
         assert op_traceback(state) == op_traceback(state)  # traceback does not mutate
 
+    def test_state_of_the_other_mode_rejected(self):
+        # exact's window ids are 1-D; walking them here raised TypeError
+        with pytest.raises(ValueError, match="computed in the other mode"):
+            op_traceback(lcsk.exact.compute_tables(EX_X, EX_Y, 3))
+
     @pytest.mark.parametrize("k, bound", [(3, 1.5), (10, 1.6), (20, 2.1)])
     def test_witness_peak_per_cell(self, k, bound):
         # scores modulo 2^8; beside them the sweep keeps O(k * n) mask and

@@ -29,14 +29,14 @@ def test_run_scaling_prints_one_block_per_k(capsys):
         assert second.split()[0] == "n=" and second.split()[-1].startswith("x")
 
 
-def test_run_scaling_exact_takes_both_routes(capsys, monkeypatch):
+def test_run_scaling_exact_takes_both_routes(capsys):
     # sigma = 4: one window pair in 16 matches at k = 2 (the row loop), about
-    # one in 65536 at k = 8 (the point DP)
-    point_dp, ks = exact._point_dp, set()
-    monkeypatch.setattr(exact, "_point_dp", lambda cells, k, *rest: ks.add(k) or point_dp(cells, k, *rest))
+    # one in 65536 at k = 8 (the point DP); the script's pairs are seed 0's
+    routes = {(n, k): exact.MODE.plan(*generate_pair("exact", n, 4, 0), k).route
+              for n in (200, 400) for k in (2, 8)}
+    assert routes == {(200, 2): "rows", (400, 2): "rows", (200, 8): "points", (400, 8): "points"}
     main = runpy.run_path(str(SCRIPTS / "run_scaling.py"))["main"]
     assert main(["--mode", "exact", "--n", "200,400", "--k", "2,8"]) == 0
-    assert ks == {8}
     lines = capsys.readouterr().out.splitlines()
     assert [line.split()[:2] for line in lines[::3]] == [["mode=exact", "k=2"], ["mode=exact", "k=8"]]
     lengths = [int(line.split("length=")[1].split()[0]) for line in lines if "length=" in line]
