@@ -281,8 +281,8 @@ class DpState:
     int32 above.  Walks read it only through score_test, whose equality
     tests the residue decides.  length is the exact C[m, n].  x_ids and
     y_ids are the mode's window ids, which match where a chunk can end,
-    1-D in exact mode and 2-D in op mode (see check_mode); xs and ys are
-    the symbols, which exact.traceback checks its inputs against.
+    1-D in exact mode and 2-D in op mode, so that each walk can refuse the
+    other's state; xs and ys are the symbols, which exact.traceback checks.
     """
 
     k: int
@@ -292,10 +292,6 @@ class DpState:
     y_ids: np.ndarray
     xs: tuple
     ys: tuple
-
-    def check_mode(self, ndim: int):  # a walk's refusal of the other mode's state
-        if self.x_ids.ndim != ndim:
-            raise ValueError("the state was computed in the other mode")
 
     @property
     def lengths(self) -> np.ndarray:
@@ -439,10 +435,12 @@ class Mode:
 
     def align(self, x, y, k) -> ChunkAlignment:
         """walk's alignment: from the cells alone on the points route, with
-        no (m+1) x (n+1) table, else from solve's witness state."""
+        no (m+1) x (n+1) table, and with none at all when no chunk fits."""
         plan = self.plan(x, y, k)
         if plan.route == "points":
             return self.point_walk(plan.cells, len(plan.xs), len(plan.ys), plan.k)
+        if plan.route == "empty":
+            return ChunkAlignment(0)
         return self.walk(self._state(plan), plan.xs, plan.ys, plan.k)
 
     def _state(self, plan: Plan) -> DpState:

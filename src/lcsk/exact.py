@@ -378,7 +378,8 @@ def traceback(tables: DpTables, x, y, k: int) -> ChunkAlignment:
     costs O(1); elsewhere the run is counted on window ids.  Each read
     tests a residue (core.walk_chunks), so the int32 table is never built.
     """
-    tables.check_mode(1)
+    if tables.x_ids.ndim != 1:  # op mode's ids are 2-D
+        raise ValueError("the state was computed in the other mode")
     if tables.k != k or tables.xs != as_items(x) or tables.ys != as_items(y):
         raise ValueError("tables were computed for other inputs or another k")
     xg, yg = tables.x_ids.tolist(), tables.y_ids.tolist()

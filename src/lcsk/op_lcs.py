@@ -227,7 +227,8 @@ def op_traceback(state: OpDpState) -> ChunkAlignment:
     prefix of k..2k-1.  Each read tests a residue (core.walk_chunks), so
     the int32 table is never built.  The state must be op mode's.
     """
-    state.check_mode(2)
+    if state.x_ids.ndim != 2:  # exact mode's ids are 1-D
+        raise ValueError("the state was computed in the other mode")
     k = state.k
     x_ids, y_ids = state.x_ids.tolist(), state.y_ids.tolist()
 

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lcsk import exact, op_lcs
+from lcsk import core, exact, op_lcs
 from lcsk.core import (
     ChunkAlignment,
     Params,
@@ -315,6 +315,17 @@ class TestPackedTable:
                 assert np.array_equal(table.unpack()[start:], want[start:])
                 assert not table.unpack()[:start].any()
                 assert np.array_equal(table.T.unpack(), table.unpack().T)
+
+
+@pytest.mark.parametrize("mode", sorted(MODES))
+def test_align_keeps_no_table_when_no_chunk_fits(mode, monkeypatch):
+    # Mode.plan's empty route: the answer is 0 whatever the sizes, so align
+    # allocates no (m+1) x (n+1) table for it; the symbols are still checked
+    monkeypatch.setattr(core, "zeros_table", lambda *a: pytest.fail("table allocated"))
+    for x, y, k in (((1, 2, 3), tuple(range(50)), 4), (tuple(range(50)), (3, 2), 3), ((), (), 2)):
+        assert MODES[mode].align(x, y, k) == ChunkAlignment(0)
+    with pytest.raises(TypeError):
+        MODES[mode].align([[1]], tuple(range(50)), 2)
 
 
 class TestOrientation:
