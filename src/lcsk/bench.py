@@ -9,7 +9,7 @@ micro-benchmark practice); long cells run once.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import IO, Iterable
 
 import numpy as np
@@ -23,14 +23,7 @@ _MIN_CELL_SECONDS = 0.1
 _MAX_REPEAT = 5
 
 
-@dataclass(frozen=True)
-class BenchCell:
-    mode: str
-    n: int
-    k: int
-    sigma: int
-    seconds: float
-    length: int
+BenchCell = namedtuple("BenchCell", "mode n k sigma seconds length")
 
 
 def generate_pair(mode: str, n: int, sigma: int, seed: int):

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import numbers
 from collections import namedtuple
-from dataclasses import dataclass, field
 from typing import Any, Callable
 
 import numpy as np
@@ -108,8 +107,7 @@ class PackedTable:
     8 // bits cells to a byte along one axis.  Cell (i, j) is bits
     (i % per) * bits and up of the uint8 data[i // per, j] when ``axis``
     is 0, and of data[i, j // per] when it is 1, with per = 8 // bits.  T
-    is the transpose, which shares ``data``.  A plain class: a dataclass
-    costs about 0.7 ms more at every import."""
+    is the transpose, which shares ``data``."""
 
     __slots__ = ("data", "shape", "bits", "axis")
 
@@ -235,32 +233,36 @@ def as_items(seq: Any) -> tuple:
     return tuple(seq)
 
 
-@dataclass(frozen=True)
-class Params:
+# The records are namedtuples: a frozen dataclass costs 0.7-1.3 ms to build
+# at every import, which each fresh process pays.  Params and ChunkAlignment
+# check their fields in __new__, and _make calls it, so _replace checks too.
+class Params(namedtuple("Params", "k mode", defaults=("exact",))):
     """Problem parameters: minimum chunk length ``k`` and matching mode."""
 
-    k: int
-    mode: str = "exact"
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.mode not in MODES:
-            raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
-        check_k(self.k, self.mode)
+    def __new__(cls, k, mode="exact"):
+        if mode not in MODES:
+            raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
+        check_k(k, mode)
+        return super().__new__(cls, k, mode)
+
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
 
-@dataclass(frozen=True)
-class ChunkAlignment:
+class ChunkAlignment(namedtuple("ChunkAlignment", "total chunks", defaults=((),))):
     """A chunked alignment: total matched length plus the chunk list.
 
     Chunks are (x_start, y_start, length) triples, 1-based, in increasing
     position order.
     """
 
-    total: int
-    chunks: tuple = field(default=())
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "chunks", tuple(tuple(c) for c in self.chunks))
+    def __new__(cls, total, chunks=()):
+        return super().__new__(cls, total, tuple(tuple(c) for c in chunks))
+
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
     def to_json(self) -> dict:
         """JSON form used by the CLI: {"total": N, "chunks": [{"x":..,"y":..,"len":..}]}."""
@@ -270,8 +272,7 @@ class ChunkAlignment:
         }
 
 
-@dataclass(frozen=True)
-class DpState:
+class DpState(namedtuple("DpState", "k length scores x_ids y_ids xs ys")):
     """Witness state for one (x, y, k) instance, in both modes.
 
     scores holds C[i, j] modulo 2^bits with the fewest bits that walks
@@ -285,13 +286,7 @@ class DpState:
     other's state; xs and ys are the symbols, which exact.traceback checks.
     """
 
-    k: int
-    length: int
-    scores: Any  # (m+1) x (n+1), C modulo 2^bits: a PackedTable or a grid
-    x_ids: np.ndarray
-    y_ids: np.ndarray
-    xs: tuple
-    ys: tuple
+    __slots__ = ()
 
     @property
     def lengths(self) -> np.ndarray:
@@ -381,12 +376,11 @@ def walk_chunks(scores, total: int, k: int, chunk_lengths) -> ChunkAlignment:
     return ChunkAlignment(total=total, chunks=tuple(chunks))
 
 
-# A request's route and what it needs (Mode.plan); a dataclass would cost ~0.7 ms per import
+# A request's route and what it needs (Mode.plan)
 Plan = namedtuple("Plan", "route k xs ys flip ids r cells", defaults=(None, None))
 
 
-@dataclass(frozen=True)
-class Mode:
+class Mode(namedtuple("Mode", "name window_ids sweep walk sparse point_dp point_walk", defaults=(None,) * 3)):
     """A matching mode's steps, and the drivers that run them: plan, then
     solve for lengths and witness tables, or align for witnesses.
 
@@ -400,35 +394,35 @@ class Mode:
     point_walk(cells, m, n, k) walk's alignment.
     """
 
-    name: str
-    window_ids: Callable
-    sweep: Callable
-    walk: Callable
-    sparse: Callable | None = None
-    point_dp: Callable | None = None
-    point_walk: Callable | None = None
+    __slots__ = ()
 
     def plan(self, x, y, k) -> Plan:
         """The checked k, the symbol tuples, the window ids and the route,
         before any table or score row exists: "empty" if min(m, n) < k,
-        "points" if sparse gives cells (in the (x, y) frame), else "rows".
+        "points" if sparse gives cells (in the (x, y) frame), else "rows"."""
+        plan = self._table_plan(x, y, k)
+        if plan.route == "empty" or not self.sparse:
+            return plan
+        r, cells = self.sparse(*(plan.ids[::-1] if plan.flip else plan.ids))
+        return plan._replace(route="rows" if cells is None else "points", r=r, cells=cells)
+
+    def _table_plan(self, x, y, k) -> Plan:
+        """plan for a witness table, which every route but "empty" sweeps:
+        the route is "empty" or "rows", with no count of chunk-end cells.
         Both recurrences are symmetric, so the sweep runs over the shorter
         input, x on a tie: flip is m > n, and the ids are then of (y, x)."""
         k = check_k(k, self.name)
         xs, ys = as_items(x), as_items(y)
         flip = len(xs) > len(ys)
         ids = self.window_ids(*((ys, xs) if flip else (xs, ys)), k)
-        if min(len(xs), len(ys)) < k:
-            return Plan("empty", k, xs, ys, flip, ids)
-        r, cells = self.sparse(*(ids[::-1] if flip else ids)) if self.sparse else (None, None)
-        return Plan("rows" if cells is None else "points", k, xs, ys, flip, ids, r, cells)
+        return Plan("empty" if min(len(xs), len(ys)) < k else "rows", k, xs, ys, flip, ids)
 
     def solve(self, x, y, k, witness: bool = False):
         """C[m, n] by the plan's route, keeping no table; with ``witness`` the
-        DpState walk reads, its table swept on any route (the transpose if m > n)."""
-        plan = self.plan(x, y, k)
+        DpState walk reads, its table swept (the transpose if m > n)."""
         if witness:
-            return self._state(plan)
+            return self._state(self._table_plan(x, y, k))
+        plan = self.plan(x, y, k)
         if plan.route == "points":
             return self.point_dp(plan.cells, plan.k)
         return self.sweep(*plan.ids, plan.k, None) if plan.route == "rows" else 0

@@ -24,7 +24,7 @@ longer sequence: O(k * (m + n)) ints with the window ids.  For a witness
 _sweep stores each finished score row modulo 2^bits, with 2^bits > k:
 packed 1, 2 or 4 bits to a cell for k < 16, a quarter byte at k = 2 or
 3, and a byte per cell up to k = 255 (see core.DpState); compute_tables
-always takes this table, on either route.  traceback
+always takes this table, with no count of the cells.  traceback
 only tests whether a cell holds a given score, which the residue decides
 (core.walk_chunks), and never builds the int32 table.  chunk_max_table
 builds the full chunk_max grid from its definition, out of the score
@@ -68,7 +68,8 @@ def match_run_table(x, y) -> np.ndarray:
 
 def compute_tables(x, y, k: int) -> DpTables:
     """The score table modulo 2^bits, O(mn) bytes; feed the result to
-    traceback().  It is built on either route: MODE.align gives the same
+    traceback().  It is built whatever the route, with no count of the
+    chunk-end cells (core.Mode._table_plan): MODE.align gives the same
     alignment without it on the points route (see _point_walk).
 
     _sweep, the row loop of the length path, fills the rows over the
@@ -286,9 +287,10 @@ def _point_walk(cells, m: int, n: int, k: int) -> ChunkAlignment:
 def _sweep(xg: np.ndarray, yg: np.ndarray, k: int, table=None) -> int:
     """Fill rows k..m of the score table C over the window ids; return C[m, n].
 
-    MODE.plan's rows route runs it, and every witness table.  The plan's
-    count of chunk-end cells frees its sorted keys of the ids (_sparse)
-    before the rings are allocated, so it does not raise their peak.
+    MODE.plan's rows route runs it, and every witness table.  The rows
+    plan's count of chunk-end cells frees its sorted keys of the ids
+    (_sparse) before the rings are allocated, so it does not raise their
+    peak; a witness table's plan makes no count.
 
     Row i is kept with offset m + 1 - i, in a ring of k+1 score rows
     h = C + m + 1 - i, beside a ring of two chunk rows e = chunk_max +

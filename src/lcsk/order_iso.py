@@ -15,7 +15,7 @@ allowed in the input).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 import numpy as np
 
@@ -35,16 +35,12 @@ def order_isomorphic(s, t) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class SortedPositions:
-    """Positions (1-based) of a sequence, stably sorted by value asc/desc.
+SortedPositions = namedtuple("SortedPositions", "asc desc")
+SortedPositions.__doc__ = """Positions (1-based) of a sequence, stably sorted by value asc/desc.
 
-    Stability means ties keep increasing position order in both lists, which
-    is what the stack sweeps below rely on.
-    """
-
-    asc: tuple
-    desc: tuple
+Stability means ties keep increasing position order in both tuples, which
+is what the stack sweeps below rely on.
+"""
 
 
 def sort_positions(s) -> SortedPositions:
@@ -55,17 +51,13 @@ def sort_positions(s) -> SortedPositions:
     return SortedPositions(asc=tuple(asc), desc=tuple(desc))
 
 
-@dataclass(frozen=True)
-class PrevNextTables:
-    """Nearest-neighbour tables for one suffix, 1-based; entry 0 unused.
+PrevNextTables = namedtuple("PrevNextTables", "prev next")
+PrevNextTables.__doc__ = """Nearest-neighbour lists for one suffix, 1-based; entry 0 unused.
 
-    prev[d] is the rightmost position before d (within the suffix) holding
-    the largest value <= suffix[d]; next[d] the rightmost position holding
-    the smallest value >= suffix[d].  None encodes "no such position".
-    """
-
-    prev: list
-    next: list
+prev[d] is the rightmost position before d (within the suffix) holding
+the largest value <= suffix[d]; next[d] the rightmost position holding
+the smallest value >= suffix[d].  None encodes "no such position".
+"""
 
 
 def _prev_next_lists(n: int, i: int, positions: SortedPositions):
@@ -156,15 +148,14 @@ def z_table_for_suffix(s, i: int, positions: SortedPositions | None = None) -> l
     return z
 
 
-@dataclass(frozen=True)
-class OpLceTable:
+class OpLceTable(namedtuple("OpLceTable", "values")):
     """Op-matching longest-common-extension lengths for all suffix pairs.
 
     values[i1, i2] (1-based; row/col 0 are padding) is the largest l such
     that s1(i1 : i1+l-1) and s2(i2 : i2+l-1) are order-isomorphic.
     """
 
-    values: np.ndarray
+    __slots__ = ()
 
     def query(self, i1: int, i2: int) -> int:
         n1, n2 = self.values.shape[0] - 1, self.values.shape[1] - 1

@@ -1,5 +1,7 @@
-import dataclasses
+import os
 import random
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -7,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lcsk import core, exact, op_lcs
+from lcsk import bench, core, exact, op_lcs
 from lcsk.core import (
     ChunkAlignment,
     Params,
@@ -18,7 +20,7 @@ from lcsk.core import (
     zeros_table,
 )
 from lcsk.oracles import naive_lcs_kplus, naive_op_lcs_kplus
-from lcsk.order_iso import build_oplce_table
+from lcsk.order_iso import build_oplce_table, prev_next_for_suffix, sort_positions
 
 MODES = {"exact": exact.MODE, "op": op_lcs.MODE}
 
@@ -74,6 +76,53 @@ class TestChunkAlignment:
     def test_chunks_normalized_to_tuples(self):
         a = ChunkAlignment(total=2, chunks=[[1, 1, 2]])
         assert a.chunks == ((1, 1, 2),)
+
+
+# one instance of each record, and a field to try to set
+RECORDS = {
+    "Params": (lambda: Params(k=2, mode="op"), "k"),
+    "ChunkAlignment": (lambda: ChunkAlignment(total=3, chunks=[[1, 1, 3]]), "chunks"),
+    "DpState": (lambda: exact.compute_tables("abcab", "abcb", 2), "scores"),
+    "Mode": (lambda: exact.MODE, "sweep"),
+    "SortedPositions": (lambda: sort_positions((3, 1, 2)), "asc"),
+    "PrevNextTables": (lambda: prev_next_for_suffix((3, 1, 2), 1), "prev"),
+    "OpLceTable": (lambda: build_oplce_table((1, 2, 3), (2, 3, 1)), "values"),
+    "BenchCell": (lambda: bench.BenchCell("op", 40, 3, 50, seconds=0.001, length=6), "seconds"),
+}
+
+
+class TestRecords:
+    @pytest.mark.parametrize("name", sorted(RECORDS))
+    def test_fields_cannot_be_set(self, name):
+        make, field = RECORDS[name]
+        record = make()
+        assert type(record).__name__ == name
+        before = getattr(record, field)
+        with pytest.raises(AttributeError):
+            setattr(record, field, None)
+        with pytest.raises(AttributeError):
+            record.extra = None
+        assert getattr(record, field) is before
+
+    def test_namedtuple_api(self):
+        # they unpack, equal a plain tuple of their items, and _replace
+        # copies through the same checks as construction
+        total, chunks = a = ChunkAlignment(3, [[1, 1, 3]])
+        assert (total, chunks) == a == (3, ((1, 1, 3),))
+        assert a._replace(chunks=[[2, 2, 3]]).chunks == ((2, 2, 3),)
+        assert Params(3)._replace(mode="op") == Params(k=3, mode="op") == (3, "op")
+        with pytest.raises(ValueError, match="k >= 2"):
+            Params(2)._replace(k=1, mode="op")
+        with pytest.raises(ValueError, match="mode must be one of"):
+            Params(2)._replace(mode="fuzzy")
+
+    def test_import_loads_no_dataclasses(self):
+        # building a frozen dataclass costs about 1 ms at every fresh import
+        src = os.path.dirname(os.path.dirname(core.__file__))
+        code = "import sys, lcsk, lcsk.cli, lcsk.oracles, lcsk.bench; print('dataclasses' in sys.modules)"
+        env = {**os.environ, "PYTHONPATH": src}
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env)
+        assert out.stdout == "False\n"
 
 
 class TestValidateAlignment:
@@ -177,11 +226,11 @@ class TestWitnessTable:
         assert validate_alignment(x, y, Params(k=k, mode=mode), got)
         # the same walk over the decoded int32 grid, and over the residues with
         # every score shifted by a constant that puts 2^bits halfway along it
-        assert got == MODES[mode].walk(dataclasses.replace(state, scores=c), x, y, k)
+        assert got == MODES[mode].walk(state._replace(scores=c), x, y, k)
         bits = 8 * state.scores.itemsize
         shift = (2**bits - state.length // 2) % 2**bits
         scores = (state.scores.astype(np.int64) + shift) % 2**bits
-        wrapped = dataclasses.replace(state, length=state.length + shift, scores=scores.astype(dtype))
+        wrapped = state._replace(length=state.length + shift, scores=scores.astype(dtype))
         shifted = MODES[mode].walk(wrapped, x, y, k)
         assert shifted.chunks == got.chunks and shifted.total == got.total + shift
 
@@ -197,9 +246,9 @@ class TestWitnessTable:
         assert state.length == int(c[-1, -1]) == 600 + k == int(c[-1, -2]) + 2
         got = MODES[mode].walk(state, x, y, k)
         assert validate_alignment(x, y, Params(k=k, mode=mode), got)
-        assert got == MODES[mode].walk(dataclasses.replace(state, scores=c), x, y, k)
+        assert got == MODES[mode].walk(state._replace(scores=c), x, y, k)
         for shift in (1, 2, 3, 301):  # every residue, and half the total
-            wrapped = dataclasses.replace(state, length=state.length + shift, scores=_packed(c + shift, k))
+            wrapped = state._replace(length=state.length + shift, scores=_packed(c + shift, k))
             assert np.array_equal(wrapped.lengths, c)  # the decode starts from column 0
             shifted = MODES[mode].walk(wrapped, x, y, k)
             assert shifted.chunks == got.chunks and shifted.total == got.total + shift
@@ -278,11 +327,11 @@ class TestPackedTable:
             c = state.lengths
             assert np.array_equal(c, _uncapped_grid(mode, x, y, k))
             got = MODES[mode].walk(state, x, y, k)
-            assert got == MODES[mode].walk(dataclasses.replace(state, scores=c), x, y, k)
+            assert got == MODES[mode].walk(state._replace(scores=c), x, y, k)
             assert got.total == state.length == int(c[-1, -1])
             assert validate_alignment(x, y, Params(k=k, mode=mode), got)
             for shift in range(1, 1 << bits):  # the residues of every shifted table
-                wrapped = dataclasses.replace(state, length=state.length + shift, scores=_packed(c + shift, k))
+                wrapped = state._replace(length=state.length + shift, scores=_packed(c + shift, k))
                 shifted = MODES[mode].walk(wrapped, x, y, k)
                 assert shifted.chunks == got.chunks and shifted.total == got.total + shift
 
@@ -343,7 +392,7 @@ class TestOrientation:
             calls.append((x_ids.copy(), y_ids.copy(), rows is None or rows.flags.c_contiguous))
             return mode.sweep(x_ids, y_ids, k, table)
 
-        return dataclasses.replace(mode, sweep=spy), calls
+        return mode._replace(sweep=spy), calls
 
     @staticmethod
     def assert_swept(calls, mode, rows, cols, k):
@@ -376,7 +425,7 @@ class TestOrientation:
         params = Params(k=k, mode=mode.name)
         for state, x, y in ((c, xs, ys), (d, ys, xs)):
             got = mode.walk(state, x, y, k)
-            assert got == mode.walk(dataclasses.replace(state, scores=state.lengths), x, y, k)
+            assert got == mode.walk(state._replace(scores=state.lengths), x, y, k)
             assert got.total == a and validate_alignment(x, y, params, got)
 
     @pytest.mark.parametrize("mode", sorted(MODES))

@@ -288,6 +288,22 @@ class TestRoutes:
         assert plan.route == "points" and plan.r == 4 == int((ends - starts).sum())
         assert rows.tolist() == [0, 1, 4, 5] and order.tolist() == [0, 1]
 
+    @pytest.mark.parametrize("route", ROUTES)
+    def test_witness_table_makes_no_count(self, route):
+        # compute_tables sweeps its table on every route, so it never counts
+        # the chunk-end cells; align counts them once to pick its route
+        calls = []
+        mode = exact.MODE._replace(sparse=lambda xg, yg: calls.append(1) or exact._sparse(xg, yg))
+        x, y = _dna_pair(2, 60, 45)
+        with forced(route):
+            for xs, ys, k in ((x, y, 3), (y, x, 3), (x, y, 6)):
+                state = mode.solve(xs, ys, k, witness=True)
+                assert not calls
+                assert np.array_equal(state.lengths, _int32_grid(xs, ys, k))
+                assert mode.align(xs, ys, k) == traceback(state, xs, ys, k)
+                assert len(calls) == 1
+                calls.clear()
+
     @pytest.mark.parametrize("k, m, bound", [(8, 3000, 0.1), (3, 2000, 0.034)])
     def test_length_peak(self, k, m, bound):
         # the point DP holds O(m + n) ids and the cells of k+1 rows; the row
@@ -458,7 +474,7 @@ class TestTraceback:
         scores = t.lengths  # at k = 1 one bit per cell could not tell 2 from 0
         scores[3, 3] = 2  # C[3, 3] = 2 with C[3, 2] = C[2, 3] = 0
         with pytest.raises(RuntimeError, match=r"inconsistent DP table at \(3, 3\)"):
-            traceback(dataclasses.replace(t, scores=scores, length=2), "abc", "xyz", 1)
+            traceback(t._replace(scores=scores, length=2), "abc", "xyz", 1)
 
     def test_tables_of_other_inputs_rejected(self):
         t = compute_tables("abcab", "abcb", 2)
