@@ -399,29 +399,27 @@ class Mode(namedtuple("Mode", "name window_ids sweep walk sparse point_dp point_
     def plan(self, x, y, k) -> Plan:
         """The checked k, the symbol tuples, the window ids and the route,
         before any table or score row exists: "empty" if min(m, n) < k,
-        "points" if sparse gives cells (in the (x, y) frame), else "rows"."""
-        plan = self._table_plan(x, y, k)
-        if plan.route == "empty" or not self.sparse:
-            return plan
-        r, cells = self.sparse(*(plan.ids[::-1] if plan.flip else plan.ids))
-        return plan._replace(route="rows" if cells is None else "points", r=r, cells=cells)
-
-    def _table_plan(self, x, y, k) -> Plan:
-        """plan for a witness table, which every route but "empty" sweeps:
-        the route is "empty" or "rows", with no count of chunk-end cells.
+        "points" if sparse gives cells (in the (x, y) frame), else "rows".
         Both recurrences are symmetric, so the sweep runs over the shorter
         input, x on a tie: flip is m > n, and the ids are then of (y, x)."""
+        return self._plan(x, y, k, self.sparse)
+
+    def _plan(self, x, y, k, sparse) -> Plan:
+        # a witness table is swept on every route, so its plan passes no sparse
         k = check_k(k, self.name)
         xs, ys = as_items(x), as_items(y)
         flip = len(xs) > len(ys)
         ids = self.window_ids(*((ys, xs) if flip else (xs, ys)), k)
-        return Plan("empty" if min(len(xs), len(ys)) < k else "rows", k, xs, ys, flip, ids)
+        if min(len(xs), len(ys)) < k:
+            return Plan("empty", k, xs, ys, flip, ids)
+        r, cells = sparse(*(ids[::-1] if flip else ids)) if sparse else (None, None)
+        return Plan("rows" if cells is None else "points", k, xs, ys, flip, ids, r, cells)
 
     def solve(self, x, y, k, witness: bool = False):
         """C[m, n] by the plan's route, keeping no table; with ``witness`` the
         DpState walk reads, its table swept (the transpose if m > n)."""
         if witness:
-            return self._state(self._table_plan(x, y, k))
+            return self._state(self._plan(x, y, k, None))
         plan = self.plan(x, y, k)
         if plan.route == "points":
             return self.point_dp(plan.cells, plan.k)

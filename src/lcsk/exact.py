@@ -69,7 +69,7 @@ def match_run_table(x, y) -> np.ndarray:
 def compute_tables(x, y, k: int) -> DpTables:
     """The score table modulo 2^bits, O(mn) bytes; feed the result to
     traceback().  It is built whatever the route, with no count of the
-    chunk-end cells (core.Mode._table_plan): MODE.align gives the same
+    chunk-end cells (core.Mode._plan): MODE.align gives the same
     alignment without it on the points route (see _point_walk).
 
     _sweep, the row loop of the length path, fills the rows over the
