@@ -152,9 +152,9 @@ def zeros_table(rows: int, cols: int, k: int):
 
 class RowStore:
     """Stores a sweep's finished score rows, in order from row ``start`` on,
-    in its table: put(rows, offset) stores rows - offset, one row or a
-    block of rows, modulo 2^bits of the table.  A grid takes them at once,
-    cast with wrap-around.  A PackedTable (packed along rows) takes them
+    in its table: put(rows, offset) stores rows - offset, a 2-D block of
+    one or more rows, modulo 2^bits of the table.  A grid takes them at
+    once, cast with wrap-around.  A PackedTable (packed along rows) takes them
     through a stage of uint8 rows (see _STAGE), which is packed when it
     fills and by flush(), which the sweep calls after its last row: the
     residues masked to their bits, multiplied by 2^(bits * r) for row r of
@@ -179,17 +179,12 @@ class RowStore:
 
     def put(self, rows: np.ndarray, offset: int = 0):
         if self.stage is None:
-            stop = self.next + (len(rows) if rows.ndim == 2 else 1)
+            stop = self.next + len(rows)
             np.subtract(rows, offset, out=self.table[self.next : stop], casting="unsafe")
             self.next = stop
             return
         stage, a = self.stage, self.next - self.base
-        if rows.ndim == 1:  # exact's rows, one at a time
-            np.subtract(rows, offset, out=stage[a], casting="unsafe")
-            self.next += 1
-            if a + 1 == len(stage):
-                self.flush()
-        elif not (a or offset or len(rows) % self.per) and len(rows) <= len(stage):  # op's blocks
+        if not (a or offset or len(rows) % self.per) and len(rows) <= len(stage):  # op's blocks
             np.bitwise_and(rows, self.mask, out=stage[: len(rows)], casting="unsafe")
             self.next += len(rows)
             self._pack(len(rows))

@@ -12,23 +12,24 @@ chunk_max rows for both entry points, with its rows over the shorter
 sequence (see core.Mode).
 
 MODE.plan picks each request's route from the count r of chunk-end
-cells, where the length-k windows match; one sort of each side's window
-ids gives it, and the cells too (_sparse).  Below one in 1/_SPARSE_SHARE
-window pairs, the points route: _point_dp computes the LCSk++ recurrence
-over those cells alone, in O((m + n) log n + r log min(m, n)) Python
-steps and O(m + n) memory plus the cells of k+1 rows; for a witness,
-_point_walk keeps the score of every cell and walks them in O(m + n + r)
-memory, to traceback's chunks.  Otherwise the rows route runs the row
-loop in O(mn) time.  For a length it keeps its rings alone, over the
-longer sequence: O(k * (m + n)) ints with the window ids.  For a witness
-_sweep stores each finished score row modulo 2^bits, with 2^bits > k:
-packed 1, 2 or 4 bits to a cell for k < 16, a quarter byte at k = 2 or
-3, and a byte per cell up to k = 255 (see core.DpState); compute_tables
-always takes this table, with no count of the cells.  traceback
-only tests whether a cell holds a given score, which the residue decides
-(core.walk_chunks), and never builds the int32 table.  chunk_max_table
-builds the full chunk_max grid from its definition, out of the score
-table and match_run_table, for display and tests.
+cells, where the length-k windows match; one bincount of the window ids
+gives it, and one sort of the y ids lists the cells (_sparse).  Below
+one in 1/_SPARSE_SHARE window pairs, the points route: _point_dp
+computes the LCSk++ recurrence over those cells alone, in O((m + n) log
+n + r log min(m, n)) Python steps and O(m + n) memory plus the cells of
+k+1 rows; for a witness, _point_walk keeps the score of every cell and
+walks them in O(m + n + r) memory, to traceback's chunks.  Otherwise the
+rows route runs the row loop in O(mn) time.  For a length it keeps its
+rings alone, over the longer sequence: O(k * (m + n)) ints with the
+window ids.  For a witness _sweep stores each finished score row modulo
+2^bits, with 2^bits > k: packed 1, 2 or 4 bits to a cell for k < 16, a
+quarter byte at k = 2 or 3, and a byte per cell up to k = 255 (see
+core.DpState); compute_tables always takes this table, with no count of
+the cells.  traceback only tests whether a cell holds a given score,
+which the residue decides (core.walk_chunks), and never builds the int32
+table.  chunk_max_table builds the full chunk_max grid from its
+definition, out of the score table and match_run_table, for display and
+tests.
 """
 
 from __future__ import annotations
@@ -103,48 +104,30 @@ def _window_ids(xs: tuple, ys: tuple, k: int):
     and y_{t+1}, so a chunk can end at (i, j) iff x_ids[i-k] == y_ids[j-k].
     Both are empty when min(m, n) < k.
 
-    core.codes gives the symbols codes below s, so each extra symbol
-    multiplies the id range by s; ids are re-ranked with np.unique before
-    they could overflow int64, and once more at the end if they do not fit
-    in int32, which _id_runs needs.
+    core.codes gives the symbols codes below s, and the ids grow in place
+    over the concatenated codes, start-indexed: each extra symbol
+    multiplies the id range by s.  Ids are re-ranked with np.unique before
+    they could overflow int64, and once more at the end if their range
+    passes m + n, so they are dense int32 ids below m + n, which _sparse
+    counts with one bincount.
     """
-    xa, ya = np.split(codes(xs + ys, "exact"), [len(xs)])
-    if min(len(xa), len(ya)) < k:
-        return xa[:0], ya[:0]
-    def rerank(gx, gy):
-        ids = np.unique(np.concatenate((gx, gy)), return_inverse=True)[1]
-        return ids[: len(gx)], ids[len(gx) :]
-
-    s = int(max(xa.max(), ya.max())) + 1
-    gx, gy = xa, ya
-    span = s
-    for t in range(1, k):
-        if span * s >= 1 << 62:
-            gx, gy = rerank(gx, gy)
-            span = len(gx) + len(gy)
-        gx = gx[:-1] * s + xa[t:]
-        gy = gy[:-1] * s + ya[t:]
+    m, n = len(xs), len(ys)
+    r = codes(xs + ys, "exact")
+    if min(m, n) < k:
+        return r[:0], r[:0]
+    s = int(r.max()) + 1
+    ids, span = r.copy(), s
+    for d in range(1, k):
+        if span * s >= 1 << 62:  # the ranks, of the stale tail too, lie below len(r)
+            ids, span = np.unique(ids, return_inverse=True)[1], len(r)
+        head = ids[:-d]  # the window starting at t gains the symbol at t + d
+        head *= s
+        head += r[d:]
         span *= s
-    if span >= 1 << 31:
-        gx, gy = rerank(gx, gy)
-    return gx.astype(np.int32), gy.astype(np.int32)
-
-
-def _id_runs(g: np.ndarray):
-    """g's window ids sorted once, as the positions in id order, ties in
-    position order, and the distinct ids with the bounds of their runs in
-    it.  The sort is of keys id * 2^32 + position, which fit in int64 as
-    _window_ids keeps the ids in int32; a plain sort of them is about five
-    times as fast as a stable argsort of the ids."""
-    keys = g.astype(np.int64)
-    keys <<= 32
-    keys |= np.arange(len(g))
-    keys.sort()
-    ids = keys >> 32
-    keys &= 0xFFFFFFFF
-    heads = np.flatnonzero(ids[1:] != ids[:-1]) + 1
-    bounds = np.concatenate(([0], heads, [len(g)]))
-    return keys, ids[bounds[:-1]], bounds
+    del r  # the codes, freed before np.unique's copies of the ids
+    if span > m + n:
+        ids = np.unique(ids, return_inverse=True)[1]
+    return ids[: m - k + 1].astype(np.int32), ids[m : m + n - k + 1].astype(np.int32)
 
 
 def _sparse(xg: np.ndarray, yg: np.ndarray):
@@ -152,25 +135,26 @@ def _sparse(xg: np.ndarray, yg: np.ndarray):
     equal; and the cells row by row, as _point_dp takes them, if they are
     fewer than _SPARSE_SHARE of the window pairs, so that the point DP
     beats the row loop, else None.  Row rows[q] of the x windows meets the
-    columns order[starts[q]:ends[q]], in ascending order.  One _id_runs
-    per side and a searchsorted of distinct ids give each distinct x id
-    its count of x windows and the start and width of its run in the y
-    positions sorted by id (width 0 if no y window has it): O((m + n)
-    log(m + n)) time and O(m + n) memory; the row loop pays only for r."""
-    x_order, x_ids, x_bounds = _id_runs(xg)
-    order, y_ids, y_bounds = _id_runs(yg)
-    at = np.minimum(np.searchsorted(y_ids, x_ids), len(y_ids) - 1)
-    counts, run_starts = np.diff(x_bounds), y_bounds[at]
-    widths = (y_bounds[at + 1] - run_starts) * (y_ids[at] == x_ids)
-    r = int(counts @ widths)
+    columns order[starts[q]:ends[q]], in ascending order.  The ids are
+    dense (_window_ids), so one bincount of the y ids, gathered at the x
+    ids, gives each x window its count of y windows; r is their sum, in
+    O(m + n) time and memory.  Only the points route sorts: keys id * 2^32
+    + position, which fit in int64 as the ids are int32, give the y
+    positions in id order, ties in position order, and the cumulative
+    counts the start of each id's run in them."""
+    counts = np.bincount(yg, minlength=int(xg.max()) + 1)
+    row_counts = counts[xg]
+    r = int(row_counts.sum())
     if r >= _SPARSE_SHARE * len(xg) * len(yg):
         return r, None
-    starts, ends = np.empty_like(x_order), np.empty_like(x_order)
-    starts[x_order] = np.repeat(run_starts, counts)
-    ends[x_order] = np.repeat(widths, counts)
-    ends += starts
-    rows = np.flatnonzero(ends > starts)
-    return r, (rows, starts[rows], ends[rows], order)
+    order = yg.astype(np.int64)
+    order <<= 32
+    order |= np.arange(len(yg))
+    order.sort()
+    order &= 0xFFFFFFFF
+    rows = np.flatnonzero(row_counts)
+    starts = (np.cumsum(counts) - counts)[xg[rows]]
+    return r, (rows, starts, starts + row_counts[rows], order)
 
 
 def _point_dp(cells, k: int, scores=None) -> int:
@@ -288,9 +272,9 @@ def _sweep(xg: np.ndarray, yg: np.ndarray, k: int, table=None) -> int:
     """Fill rows k..m of the score table C over the window ids; return C[m, n].
 
     MODE.plan's rows route runs it, and every witness table.  The rows
-    plan's count of chunk-end cells frees its sorted keys of the ids
-    (_sparse) before the rings are allocated, so it does not raise their
-    peak; a witness table's plan makes no count.
+    plan's count of chunk-end cells (_sparse) frees its bincount before
+    the rings are allocated, so it does not raise their peak; a witness
+    table's plan makes no count.
 
     Row i is kept with offset m + 1 - i, in a ring of k+1 score rows
     h = C + m + 1 - i, beside a ring of two chunk rows e = chunk_max +
@@ -304,7 +288,8 @@ def _sweep(xg: np.ndarray, yg: np.ndarray, k: int, table=None) -> int:
     views repeat every 2(k+1) rows and are built once.  Six numpy calls
     per row on them: the per-row overhead matters, as only the running max
     is O(n) work of any weight.  When ``table`` is given, each finished
-    row goes to it without its offset, through a core.RowStore.
+    row goes to it without its offset, through a core.RowStore, as a
+    one-row 2-D view built with the others.
     """
     m, n = len(xg) + k - 1, len(yg) + k - 1
     h = np.empty((k + 1, n + 1), dtype=np.int32)
@@ -312,14 +297,14 @@ def _sweep(xg: np.ndarray, yg: np.ndarray, k: int, table=None) -> int:
     e = np.zeros((2, n + 1), dtype=np.int32)
     views = []
     for i in range(k, min(m + 1, k + 2 * (k + 1))):
-        chunk = e[i % 2]
-        views.append((h[i % (k + 1)], h[(i - 1) % (k + 1)], h[(i - k) % (k + 1)][: n + 1 - k],
+        a, chunk = i % (k + 1), e[i % 2]
+        views.append((h[a], h[a : a + 1], h[(i - 1) % (k + 1)], h[(i - k) % (k + 1)][: n + 1 - k],
                       chunk, chunk[k:], e[(i - 1) % 2][k - 1 : n]))
     one = np.ones(n + 1, dtype=np.int32)
     hit = np.empty(len(yg), dtype=bool)
     store = RowStore(table, k) if table is not None else None
     for t, gram in enumerate(xg):
-        row, up, cand, chunk, tail, diag = views[t % len(views)]
+        row, block, up, cand, chunk, tail, diag = views[t % len(views)]
         np.equal(yg, gram, out=hit)
         np.maximum(cand, diag, out=tail)
         np.multiply(tail, hit, out=tail)
@@ -327,7 +312,7 @@ def _sweep(xg: np.ndarray, yg: np.ndarray, k: int, table=None) -> int:
         np.maximum(row, chunk, out=row)
         np.maximum.accumulate(row, out=row)
         if table is not None:
-            store.put(row, m + 1 - k - t)
+            store.put(block, m + 1 - k - t)
     if table is not None:
         store.flush()
     return int(row[-1]) - 1  # row m's offset is 1

@@ -1,3 +1,4 @@
+import itertools
 import os
 import random
 import subprocess
@@ -348,22 +349,22 @@ class TestPackedTable:
 
     @pytest.mark.parametrize("k", [1, 2, 4])
     def test_row_store_packs_any_row_split(self, k):
-        # the same residues whatever the blocks the rows arrive in, and
-        # whatever row the sweep starts at
+        # the same residues whatever the blocks the rows arrive in, whatever
+        # row the sweep starts at, and with or without an offset that falls
+        # by one per row, as exact's sweep stores its one-row blocks
         rng = np.random.default_rng(k)
         grid = rng.integers(0, 1000, (45, 50)).astype(np.int32)
         want = grid % (2 if k == 1 else 4 if k == 2 else 16)
-        for start in (0, 3, 5):
-            for block in (1, 3, 40):
-                table = zeros_table(45, 50, k)
-                store = RowStore(table, start)
-                for r in range(start, 45, block):
-                    rows = grid[r : r + block]
-                    store.put(rows[0] if len(rows) == 1 else rows)
-                store.flush()
-                assert np.array_equal(table.unpack()[start:], want[start:])
-                assert not table.unpack()[:start].any()
-                assert np.array_equal(table.T.unpack(), table.unpack().T)
+        for start, block, shift in itertools.product((0, 3, 5), (1, 3, 40), (0, 1)):
+            table = zeros_table(45, 50, k)
+            store = RowStore(table, start)
+            for r in range(start, 45, block):
+                offset = shift * (45 - r)
+                store.put(grid[r : r + block] + offset, offset)
+            store.flush()
+            assert np.array_equal(table.unpack()[start:], want[start:])
+            assert not table.unpack()[:start].any()
+            assert np.array_equal(table.T.unpack(), table.unpack().T)
 
 
 @pytest.mark.parametrize("mode", sorted(MODES))

@@ -267,6 +267,62 @@ class TestRoutes:
                 with forced(route):
                     assert exact.MODE.plan(x, y, k).r == exact.MODE.plan(y, x, k).r == want
 
+    @staticmethod
+    def _pairs(seed, count, shape):
+        """count random pairs, each in both argument orders, with a planted
+        copy; shape(q) gives the k, alphabet size and longest input of pair q."""
+        rng = random.Random(seed)
+        for q in range(count):
+            k, sigma, size = shape(q)
+            x = [rng.randrange(sigma) for _ in range(rng.randint(k, size))]
+            y = [rng.randrange(sigma) for _ in range(rng.randint(k, size))]
+            start = rng.randrange(len(x))
+            seg = x[start : start + rng.randint(k, 2 * k)]
+            at = rng.randrange(len(y))
+            y[at : at + len(seg)] = seg
+            yield k, tuple(x), tuple(y)
+            yield k, tuple(y), tuple(x)
+
+    @pytest.mark.parametrize("shape", [lambda q: (11 + q % 4, 64, 60),  # 64^k passes 2^62
+                                       lambda q: (8, 4, 60),  # 4^8 > m + n
+                                       lambda q: (1 + q % 5, 1, 30)],  # s = 1
+                             ids=["mid-loop re-rank", "final re-rank", "all equal"])
+    def test_window_ids_are_dense(self, shape):
+        # int32 ids below m + n, equal iff the windows are, so that _sparse
+        # counts the chunk-end cells with one bincount
+        for k, x, y in self._pairs(23, 20, shape):
+            xg, yg = _window_ids(x, y, k)
+            assert xg.dtype == yg.dtype == np.int32
+            ids = np.concatenate((xg, yg))
+            assert 0 <= ids.min() and ids.max() < len(x) + len(y)
+            windows = [s[t : t + k] for s in (x, y) for t in range(len(s) - k + 1)]
+            assert np.array_equal(ids[:, None] == ids, [[u == v for v in windows] for u in windows])
+
+    @pytest.mark.parametrize("route", ROUTES)
+    def test_sparse_cells_against_brute_force(self, route):
+        # the plan's r and cells are the window pairs with equal ids, row by
+        # row with ascending columns, in the (x, y) frame whichever input the
+        # rows are swept over; random pairs, and re-ranked ids from q % 4 == 0
+        def shape(q):
+            return (11 + q % 3, 64, 60) if q % 4 == 0 else (1 + q % 5, (2, 4, 8)[q % 3], 40)
+
+        frames = set()
+        with forced(route):
+            for k, x, y in self._pairs(29, 60, shape):
+                plan = exact.MODE.plan(x, y, k)
+                xg, yg = _window_ids(x, y, k)
+                want = np.nonzero(xg[:, None] == yg)
+                assert plan.r == len(want[0])
+                frames.add(plan.flip)
+                if route == "dense":
+                    assert plan.route == "rows" and plan.cells is None
+                    continue
+                rows, starts, ends, order = plan.cells
+                assert plan.route == "points" and (ends > starts).all()
+                assert np.repeat(rows, ends - starts).tolist() == want[0].tolist()
+                assert [u for a, b in zip(starts, ends) for u in order[a:b]] == want[1].tolist()
+        assert frames == {False, True}
+
     def test_plan_routes(self):
         # no chunk fits: the empty route, with the symbols still checked
         for x, y, k in (("", "", 1), ("ab", "abab", 3), ("abab", "ab", 3)):
@@ -307,7 +363,7 @@ class TestRoutes:
     @pytest.mark.parametrize("k, m, bound", [(8, 3000, 0.1), (3, 2000, 0.034)])
     def test_length_peak(self, k, m, bound):
         # the point DP holds O(m + n) ids and the cells of k+1 rows; the row
-        # loop's bound is its peak without the count, whose sorted ids are
+        # loop's bound is its peak without the count, whose bincount is
         # freed before the rings are allocated
         x, y = _dna_pair(k, m, m)
         assert exact.MODE.plan(x, y, k).route == ("points" if k == 8 else "rows")
