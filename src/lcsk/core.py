@@ -154,9 +154,9 @@ class RowStore:
     """Stores a sweep's finished score rows, in order from row ``start`` on,
     in its table: put(rows, offset) stores rows - offset, a 2-D block of
     one or more rows, modulo 2^bits of the table.  A grid takes them at
-    once, cast with wrap-around.  A PackedTable (packed along rows) takes them
-    through a stage of uint8 rows (see _STAGE), which is packed when it
-    fills and by flush(), which the sweep calls after its last row: the
+    once, cast with wrap-around.  A PackedTable (packed along rows) takes
+    them through a stage of uint8 rows (see _STAGE), which is packed when
+    it fills and by flush(), which the sweep calls after its last row: the
     residues masked to their bits, multiplied by 2^(bits * r) for row r of
     each byte's rows, and or-ed together, in three calls per stage.  A
     block of whole bytes that starts at a byte's first row skips the
