@@ -92,12 +92,6 @@ def table_dtype(bound: int):
     return np.uint8 if bound <= 0xFF else np.uint16 if bound <= 0xFFFF else np.int32
 
 
-# RowStore packs at most _STAGE staged rows at a time, and no more than an
-# eighth of the table's rows, so that the stage adds at most 1/8 B/cell,
-# unless that is under _STAGE_BYTES: on small tables each numpy call costs
-# far more than its cells.  Both are rounded down to whole bytes' rows.
-_STAGE = 32
-_STAGE_BYTES = 1024
 # Per bits: the factors 2^(bits * r) that move row r of a byte's rows to its bits.
 _WEIGHTS = {bits: (1 << bits * np.arange(8 // bits)).astype(np.uint8)[:, None] for bits in (1, 2, 4)}
 
@@ -150,69 +144,49 @@ def zeros_table(rows: int, cols: int, k: int):
     return table.T if flip else table
 
 
+def byte_rows(table) -> int:
+    """Rows to a byte of a sweep's table, the unit of RowStore's blocks:
+    8 // bits for a PackedTable, else 1 (a grid, or None for no table)."""
+    return 8 // table.bits if isinstance(table, PackedTable) else 1
+
+
 class RowStore:
-    """Stores a sweep's finished score rows, in order from row ``start`` on,
-    in its table: put(rows, offset) stores rows - offset, a 2-D block of
-    one or more rows, modulo 2^bits of the table.  A grid takes them at
-    once, cast with wrap-around.  A PackedTable (packed along rows) takes
-    them through a stage of uint8 rows (see _STAGE), which is packed when
-    it fills and by flush(), which the sweep calls after its last row: the
-    residues masked to their bits, multiplied by 2^(bits * r) for row r of
-    each byte's rows, and or-ed together, in three calls per stage.  A
-    block of whole bytes that starts at a byte's first row skips the
-    stage's fill: it is masked into the stage and packed at once.  Each
-    call costs about 2 us on rows of a few hundred cells, so the fewer
-    calls, the better for short rows.
+    """Stores a sweep's finished score rows in its table, in order from row
+    0: put(rows, offset) stores rows - offset, a 2-D block of whole bytes'
+    rows (byte_rows) but for the last, modulo 2^bits of the table; offset
+    is None or a column of per-row offsets.  A grid takes a block at once,
+    cast with wrap-around; a PackedTable (packed along rows), through a
+    uint8 stage of ``block`` rows rounded up to whole bytes, a stage at a
+    time: masked to their bits, multiplied by 2^(bits * r) for row r of a
+    byte's rows and or-ed into the bytes, in three numpy calls (four with
+    offsets) of about 2 us each on rows of a few hundred cells.  The rows
+    past the last in its byte are stale stage rows, past the table's rows.
     """
 
-    def __init__(self, table, start: int):
-        self.next = start
-        if not isinstance(table, PackedTable):
-            self.table, self.stage = table, None
-            return
-        self.packed, self.weights, self.mask = table.data, _WEIGHTS[table.bits], (1 << table.bits) - 1
-        self.per = per = 8 // table.bits
-        self.base = start - start % per
-        rows = max(table.shape[0] // 8, _STAGE_BYTES // table.shape[1]) // per * per
-        size = min(_STAGE, max(per, rows), per * len(table.data) - self.base)
-        self.stage = np.zeros((size, table.shape[1]), np.uint8)
+    def __init__(self, table, block: int):
+        self.table, self.next, self.per, self.stage = table, 0, byte_rows(table), None
+        if isinstance(table, PackedTable):
+            self.weights, self.mask = _WEIGHTS[table.bits], (1 << table.bits) - 1
+            self.stage = np.empty((-(-block // self.per) * self.per, table.shape[1]), np.uint8)
 
-    def put(self, rows: np.ndarray, offset: int = 0):
+    def put(self, rows: np.ndarray, offset=None):
+        start, self.next = self.next, self.next + len(rows)
         if self.stage is None:
-            stop = self.next + len(rows)
-            np.subtract(rows, offset, out=self.table[self.next : stop], casting="unsafe")
-            self.next = stop
+            out = self.table[start : self.next]
+            np.subtract(rows, 0 if offset is None else offset, out=out, casting="unsafe")
             return
-        stage, a = self.stage, self.next - self.base
-        if not (a or offset or len(rows) % self.per) and len(rows) <= len(stage):  # op's blocks
-            np.bitwise_and(rows, self.mask, out=stage[: len(rows)], casting="unsafe")
-            self.next += len(rows)
-            self._pack(len(rows))
-        else:
-            while a + len(rows) >= len(stage):  # the rows fill the stage
-                take = len(stage) - a
-                np.subtract(rows[:take], offset, out=stage[a:], casting="unsafe")
-                rows, self.next, a = rows[take:], self.next + take, 0
-                self.flush()
-            np.subtract(rows, offset, out=stage[a : a + len(rows)], casting="unsafe")
-            self.next += len(rows)
-
-    def flush(self):
-        """Pack the staged rows into the table.  After the last row the rest
-        of its byte's rows is stale, but lies past the table's rows."""
-        if self.stage is None or self.next == self.base:
-            return
-        size = -(-(self.next - self.base) // self.per) * self.per
-        np.bitwise_and(self.stage[:size], self.mask, out=self.stage[:size])
-        self._pack(size)
-
-    def _pack(self, size: int):
-        """Pack the first ``size`` stage rows, masked, from row base on."""
-        groups = self.stage[:size].reshape(-1, self.per, self.stage.shape[1])
-        np.multiply(groups, self.weights, out=groups)
-        p = self.base // self.per
-        np.bitwise_or.reduce(groups, axis=1, out=self.packed[p : p + len(groups)])
-        self.base = self.next
+        stage, per = self.stage, self.per
+        for a in range(0, len(rows), len(stage)):  # op's last block is longer than the stage
+            part, out = slice(a, a + len(stage)), stage[: len(rows) - a]
+            if offset is None:
+                np.bitwise_and(rows[part], self.mask, out=out, casting="unsafe")
+            else:
+                np.subtract(rows[part], offset[part], out=out, casting="unsafe")
+                np.bitwise_and(out, self.mask, out=out)
+            groups = stage[: -(-len(out) // per) * per].reshape(-1, per, stage.shape[1])
+            np.multiply(groups, self.weights, out=groups)
+            p = (start + a) // per
+            np.bitwise_or.reduce(groups, axis=1, out=self.table.data[p : p + len(groups)])
 
 
 def as_items(seq: Any) -> tuple:
@@ -371,6 +345,11 @@ def walk_chunks(scores, total: int, k: int, chunk_lengths) -> ChunkAlignment:
     return ChunkAlignment(total=total, chunks=tuple(chunks))
 
 
+# ufunc buffer size, in elements, during a sweep.  At numpy's default of
+# 8192, op's id comparison took about 3x as long per element on rows of
+# 2000 columns as of 4000, and RowStore's int32 -> uint8 cast of 4 rows of
+# 2001 took 56 KB more buffer; at 2048 neither, and exact's rows held pace.
+_BUFSIZE = 2048
 # A request's route and what it needs (Mode.plan)
 Plan = namedtuple("Plan", "route k xs ys flip ids r cells", defaults=(None, None))
 
@@ -418,7 +397,7 @@ class Mode(namedtuple("Mode", "name window_ids sweep walk sparse point_dp point_
         plan = self.plan(x, y, k)
         if plan.route == "points":
             return self.point_dp(plan.cells, plan.k)
-        return self.sweep(*plan.ids, plan.k, None) if plan.route == "rows" else 0
+        return self._sweep(plan.ids, plan.k) if plan.route == "rows" else 0
 
     def align(self, x, y, k) -> ChunkAlignment:
         """walk's alignment: from the cells alone on the points route, with
@@ -433,8 +412,15 @@ class Mode(namedtuple("Mode", "name window_ids sweep walk sparse point_dp point_
     def _state(self, plan: Plan) -> DpState:
         k, xs, ys, flip, ids = plan.k, plan.xs, plan.ys, plan.flip, plan.ids
         table = zeros_table(len(xs) + 1, len(ys) + 1, k)  # rows < k score 0
-        length = self.sweep(*ids, k, table.T if flip else table) if plan.route != "empty" else 0
+        length = self._sweep(ids, k, table.T if flip else table) if plan.route != "empty" else 0
         return DpState(k, length, table, *(ids[::-1] if flip else ids), xs, ys)
+
+    def _sweep(self, ids, k, table=None) -> int:
+        bufsize = np.setbufsize(_BUFSIZE)
+        try:
+            return self.sweep(*ids, k, table)
+        finally:
+            np.setbufsize(bufsize)
 
 
 def validate_alignment(x, y, params: Params, alignment: ChunkAlignment) -> bool:

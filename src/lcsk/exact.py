@@ -7,9 +7,9 @@ Quadratic DP over two quantities:
   (i, j), or -1 when no chunk of length >= k can end there.
 
 Rows only depend on rows i-1 and i-k of lengths and row i-1 of chunk_max,
-so one numpy row loop, _sweep, runs on a ring of k+1 score rows and two
-chunk_max rows for both entry points, with its rows over the shorter
-sequence (see core.Mode).
+so one numpy row loop, _sweep, runs on a ring of at least k+1 score rows
+and two chunk_max rows for both entry points, with its rows over the
+shorter sequence (see core.Mode).
 
 MODE.plan picks each request's route from the count r of chunk-end
 cells, where the length-k windows match; one bincount of the window ids
@@ -21,13 +21,13 @@ k+1 rows; for a witness, _point_walk keeps the score of every cell and
 walks them in O(m + n + r) memory, to traceback's chunks.  Otherwise the
 rows route runs the row loop in O(mn) time.  For a length it keeps its
 rings alone, over the longer sequence: O(k * (m + n)) ints with the
-window ids.  For a witness _sweep stores each finished score row modulo
-2^bits, with 2^bits > k: packed 1, 2 or 4 bits to a cell for k < 16, a
-quarter byte at k = 2 or 3, and a byte per cell up to k = 255 (see
-core.DpState); compute_tables always takes this table, with no count of
-the cells.  traceback only tests whether a cell holds a given score,
-which the residue decides (core.walk_chunks), and never builds the int32
-table.  chunk_max_table builds the full chunk_max grid from its
+window ids.  For a witness _sweep stores the score rows modulo 2^bits,
+with 2^bits > k, a whole ring at a time: packed 1, 2 or 4 bits to a cell
+for k < 16, a quarter byte at k = 2 or 3, and a byte per cell up to k =
+255 (see core.DpState); compute_tables always takes this table, with no
+count of the cells.  traceback only tests whether a cell holds a given
+score, which the residue decides (core.walk_chunks), and never builds the
+int32 table.  chunk_max_table builds the full chunk_max grid from its
 definition, out of the score table and match_run_table, for display and
 tests.
 """
@@ -40,7 +40,8 @@ from collections import deque
 
 import numpy as np
 
-from .core import ChunkAlignment, DpState, Mode, RowStore, as_items, codes, score_test, table_dtype, walk_chunks
+from .core import (ChunkAlignment, DpState, Mode, RowStore, as_items, byte_rows, codes, score_test, table_dtype,
+                   walk_chunks)
 
 # The length path's row loop costs about 5 ns per cell, and _point_dp
 # about 1 us per chunk-end cell (2-core x86-64 VM, CPython 3.11, numpy
@@ -74,11 +75,11 @@ def compute_tables(x, y, k: int) -> DpTables:
     alignment without it on the points route (see _point_walk).
 
     _sweep, the row loop of the length path, fills the rows over the
-    shorter input and stores each row as it finishes, through a stage of
-    at most 32 uint8 rows for a packed table (core.RowStore).  The table
-    takes bits/8 B/cell: 0.125 at k = 1, 0.25 at k = 2..3, 0.5 at k =
-    4..15, then 1 up to k = 255.  Beside it _sweep holds k+1 int32 score
-    rows, 4(k+1)(max(m, n)+1) bytes: about 4(k+1)/(min(m, n)+1) B/cell
+    shorter input and puts its ring of score rows in the table each time
+    it fills (core.RowStore).  The table takes bits/8 B/cell: 0.125 at k =
+    1, 0.25 at k = 2..3, 0.5 at k = 4..15, then 1 up to k = 255.  Beside
+    it the ring holds k+1 int32 rows of max(m, n)+1 cells, rounded up to
+    whole bytes' rows (8 at k = 1): about 4(k+1)/(min(m, n)+1) B/cell
     more, so the ring, not the table, sets the peak once k is a sizeable
     part of min(m, n), which for a 2-bit table is k + 1 near min(m, n)/16.
     """
@@ -276,8 +277,8 @@ def _sweep(xg: np.ndarray, yg: np.ndarray, k: int, table=None) -> int:
     the rings are allocated, so it does not raise their peak; a witness
     table's plan makes no count.
 
-    Row i is kept with offset m + 1 - i, in a ring of k+1 score rows
-    h = C + m + 1 - i, beside a ring of two chunk rows e = chunk_max +
+    Row i is kept with offset m + 1 - i, in a ring of k+1 or more score
+    rows h = C + m + 1 - i, beside a ring of two chunk rows e = chunk_max +
     m + 1 - i, or 0 where no chunk ends (and at the start).  A chunk
     can end at (i, j) iff the length-k windows ending there are equal, so
     one comparison of window ids replaces the match-run row.  Along a
@@ -285,36 +286,39 @@ def _sweep(xg: np.ndarray, yg: np.ndarray, k: int, table=None) -> int:
     C[i-k, j-k] + k and the +1 of chunk_max[i-1, j-1] + 1; stored values
     stay positive, so multiplying by the hit mask clears e, and a run of
     exactly k has e[i-1, j-1] = 0, so its +1 term cannot win.  The row
-    views repeat every 2(k+1) rows and are built once.  Six numpy calls
-    per row on them: the per-row overhead matters, as only the running max
-    is O(n) work of any weight.  When ``table`` is given, each finished
-    row goes to it without its offset, through a core.RowStore, as a
-    one-row 2-D view built with the others.
+    views repeat every two rings and are built once.  Six numpy calls per
+    row on them: the per-row overhead matters, as only the running max is
+    O(n) work of any weight.  When ``table`` is given, the ring has whole
+    bytes' rows of it (core.byte_rows) and goes to it whole, less its
+    column of offsets, through a core.RowStore each time it fills, from
+    rows 0..k-1 on, and in part after row m.
     """
     m, n = len(xg) + k - 1, len(yg) + k - 1
-    h = np.empty((k + 1, n + 1), dtype=np.int32)
-    h[:] = (m + 1 - np.arange(k + 1, dtype=np.int32))[:, None]  # rows 0..k score 0
+    ring = k + 1 + -(k + 1) % byte_rows(table)
+    offsets = (m + 1 - np.arange(ring, dtype=np.int32))[:, None]  # of rows 0..ring-1
+    h = np.repeat(offsets, n + 1, axis=1)  # rows 0..k score 0
     e = np.zeros((2, n + 1), dtype=np.int32)
     views = []
-    for i in range(k, min(m + 1, k + 2 * (k + 1))):
-        a, chunk = i % (k + 1), e[i % 2]
-        views.append((h[a], h[a : a + 1], h[(i - 1) % (k + 1)], h[(i - k) % (k + 1)][: n + 1 - k],
-                      chunk, chunk[k:], e[(i - 1) % 2][k - 1 : n]))
+    for i in range(k, min(m + 1, k + 2 * ring)):
+        a, chunk = i % ring, e[i % 2]
+        views.append((h[a], h[(i - 1) % ring], h[(i - k) % ring][: n + 1 - k], chunk, chunk[k:],
+                      e[(i - 1) % 2][k - 1 : n], table is not None and a == ring - 1))
     one = np.ones(n + 1, dtype=np.int32)
     hit = np.empty(len(yg), dtype=bool)
-    store = RowStore(table, k) if table is not None else None
+    store = RowStore(table, ring) if table is not None else None
     for t, gram in enumerate(xg):
-        row, block, up, cand, chunk, tail, diag = views[t % len(views)]
+        row, up, cand, chunk, tail, diag, full = views[t % len(views)]
         np.equal(yg, gram, out=hit)
         np.maximum(cand, diag, out=tail)
         np.multiply(tail, hit, out=tail)
         np.subtract(up, one, out=row)
         np.maximum(row, chunk, out=row)
         np.maximum.accumulate(row, out=row)
-        if table is not None:
-            store.put(block, m + 1 - k - t)
-    if table is not None:
-        store.flush()
+        if full:  # the ring holds rows t + k + 1 - ring .. t + k
+            store.put(h, offsets)
+            offsets -= ring
+    if table is not None:  # rows m - m % ring .. m, if the ring was not full
+        store.put(h[: (m + 1) % ring], offsets[: (m + 1) % ring])
     return int(row[-1]) - 1  # row m's offset is 1
 
 

@@ -57,21 +57,19 @@ order_iso and rmq; the solver calls neither.
 
 from __future__ import annotations
 
+from math import gcd
+
 import numpy as np
 
-from .core import ChunkAlignment, DpState, Mode, RowStore, codes, table_dtype, walk_chunks
+from .core import ChunkAlignment, DpState, Mode, RowStore, byte_rows, codes, table_dtype, walk_chunks
 
 # A group of row blocks shares one window-id comparison and one slide of
 # the row buffer.  A block's masks take k entries per row and column;
 # blocks (up to k rows) and groups (up to _GROUP blocks) shrink to keep a
-# group's masks within _MASK_ELEMENTS entries, down to one row.
+# group's masks within _MASK_ELEMENTS entries, down to one row, or for a
+# packed table to the fewest blocks that fill whole bytes (see _sweep).
 _GROUP = 8
 _MASK_ELEMENTS = 1 << 18
-# ufunc buffer size, in elements, during the sweep.  At numpy's default
-# of 8192 the broadcast id comparison took about three times as long per
-# element on rows of 2000 columns as on rows of 4000; at 2048 both ran at
-# the faster rate, and the strided sums got faster on the shorter rows too.
-_BUFSIZE = 2048
 # _window_ids re-ranks its int64 ids once their range reaches this, and
 # stores them in int32 only after checking that they fit.
 _RERANK_AT = 1 << 31
@@ -138,24 +136,27 @@ def _sweep(x_ids: np.ndarray, y_ids: np.ndarray, k: int, table=None) -> int:
     above the group and all but its last k, which the next group sends (the
     last group sends all of its own).  As the first group starts at row k,
     these blocks start at row 0 and then at multiples of the group's rows,
-    so while those are a whole number of bytes of the packed table, the
-    store packs each block at once.  For row r of block g, at buffer row t +
-    r with t = 2k + g*height, diag[g, w-k, r, j-k] is buffer[t+r-w, j-w],
-    that is C[i-w, j-w], for the columns j >= k a chunk can end in; columns
-    j < w read the zero columns.  Each group compares window ids once, into
-    one mask per block that holds w where the length-w windows match and 0
-    elsewhere, so a block's candidates are diag + mask.  C is monotone, so
-    an unmatched candidate C[i-w, j-w] <= C[i-1, j] changes no max.  The
-    buffer, the masks and the candidates share table_dtype(min(m, n)): a
-    score is at most min(m, n), and so is a matched candidate, at most
-    min(i, j); w itself may wrap past min(m, n), but no window that long
-    fits, so its mask entries are 0.  Each block position's views are built
-    once.
+    which the store needs in whole bytes' rows of the table, per =
+    core.byte_rows of them: so the group takes a multiple of q = per /
+    gcd(height, per) blocks, rounded down, or up to q.  For row r of block
+    g, at buffer row t + r with t = 2k + g*height, diag[g, w-k, r, j-k] is
+    buffer[t+r-w, j-w], that is C[i-w, j-w], for the columns j >= k a chunk
+    can end in; columns j < w read the zero columns.  Each group compares
+    window ids once, into one mask per block that holds w where the length-w
+    windows match and 0 elsewhere, so a block's candidates are diag + mask.
+    C is monotone, so an unmatched candidate C[i-w, j-w] <= C[i-1, j]
+    changes no max.  The buffer, the masks and the candidates share
+    table_dtype(min(m, n)): a score is at most min(m, n), and so is a
+    matched candidate, at most min(i, j); w itself may wrap past min(m, n),
+    but no window that long fits, so its mask entries are 0.  Each block
+    position's views are built once.
     """
     m, n = x_ids.shape[1] - 1, y_ids.shape[1] - 1
     cols = n + 1 - k
     height = max(1, min(k, _MASK_ELEMENTS // (k * cols)))
     group = max(1, min(_GROUP, _MASK_ELEMENTS // (k * height * cols)))
+    q = byte_rows(table) // gcd(height, byte_rows(table))  # see the docstring
+    group = max(q, group - group % q)
     top, blocks = 2 * k, (m - k) // height + 1
     padded = -(-blocks // group) * group
     xg = np.full((k, k + padded * height), -1, dtype=np.int32)  # rows past m: no chunk
@@ -179,28 +180,22 @@ def _sweep(x_ids: np.ndarray, y_ids: np.ndarray, k: int, table=None) -> int:
     views = [(diag[g], hit[g], block[g, :, k:], block[g],
               [(rows[r], rows[r - 1]) for r in range(top + g * height, top + (g + 1) * height)])
              for g in range(group)]
-    store = RowStore(table, 0) if table is not None else None
-    bufsize = np.setbufsize(_BUFSIZE)
-    try:
-        for b in range(0, blocks, group):
-            count = min(group, blocks - b)
-            np.equal(xb[b : b + group], yg, out=hit)
-            np.multiply(hit, plus_w, out=hit)
-            for diag_g, hit_g, chunks, block_g, above in views[:count]:
-                np.add(diag_g, hit_g, out=cand)
-                np.maximum.reduce(cand, axis=0, out=chunks)
-                for row, up in above:
-                    np.maximum(row, up, out=row)  # max with the row above
-                np.maximum.accumulate(block_g, axis=1, out=block_g)
-            i, end = k + b * height, top + count * height
-            done = rows[top : min(end, top + m + 1 - i)]
-            if table is not None:  # shifted k rows up: see the docstring
-                store.put(rows[top - k : top - k + len(done) + (k if b + group >= blocks else 0)])
-            flat[: top * width] = flat[(end - top) * width : end * width]  # memmove
-        if table is not None:
-            store.flush()
-    finally:
-        np.setbufsize(bufsize)
+    store = RowStore(table, group * height) if table is not None else None
+    for b in range(0, blocks, group):
+        count = min(group, blocks - b)
+        np.equal(xb[b : b + group], yg, out=hit)
+        np.multiply(hit, plus_w, out=hit)
+        for diag_g, hit_g, chunks, block_g, above in views[:count]:
+            np.add(diag_g, hit_g, out=cand)
+            np.maximum.reduce(cand, axis=0, out=chunks)
+            for row, up in above:
+                np.maximum(row, up, out=row)  # max with the row above
+            np.maximum.accumulate(block_g, axis=1, out=block_g)
+        i, end = k + b * height, top + count * height
+        done = rows[top : min(end, top + m + 1 - i)]
+        if table is not None:  # shifted k rows up: see the docstring
+            store.put(rows[top - k : top - k + len(done) + (k if b + group >= blocks else 0)])
+        flat[: top * width] = flat[(end - top) * width : end * width]  # memmove
     return int(done[-1, -1])
 
 

@@ -16,6 +16,7 @@ from lcsk.core import (
     Params,
     RowStore,
     as_items,
+    byte_rows,
     check_k,
     validate_alignment,
     zeros_table,
@@ -274,9 +275,8 @@ def _packed(grid, k):
     sweep stores it: its rows, or its columns when it is tall."""
     table = zeros_table(*grid.shape, k)
     tall = grid.shape[0] > grid.shape[1]
-    store = RowStore(table.T if tall else table, 0)
-    store.put(grid.T if tall else grid)
-    store.flush()
+    rows = grid.T if tall else grid
+    RowStore(table.T if tall else table, len(rows)).put(rows)
     return table
 
 
@@ -347,24 +347,43 @@ class TestPackedTable:
         y[j : j + size] = x[i : i + size] if mode == "exact" else [2 * v + 1 for v in x[i : i + size]]
         return x, y
 
-    @pytest.mark.parametrize("k", [1, 2, 4])
-    def test_row_store_packs_any_row_split(self, k):
-        # the same residues whatever the blocks the rows arrive in, whatever
-        # row the sweep starts at, and with or without an offset that falls
-        # by one per row, as exact's sweep stores its one-row blocks
+    def test_op_groups_round_to_whole_bytes(self, monkeypatch):
+        # a mask budget of 5 blocks of 3 rows a group: 15 rows, not whole
+        # bytes of a 2-bit table, so the sweep rounds the group to 4 blocks
+        rng = random.Random(15)
+        for m, n in ((100, 120), (120, 100), (61, 61)):
+            x, y = self.planted(rng, "op", m, n, 3)
+            monkeypatch.setattr(op_lcs, "_MASK_ELEMENTS", 45 * (max(m, n) + 1 - 3))
+            state = op_lcs.MODE.solve(x, y, 3, witness=True)
+            c = state.lengths
+            assert np.array_equal(c, _uncapped_grid("op", x, y, 3))
+            got = op_lcs.MODE.walk(state, x, y, 3)
+            assert got == op_lcs.MODE.walk(state._replace(scores=c), x, y, 3)
+            assert validate_alignment(x, y, Params(k=3, mode="op"), got) and got.total == c[-1, -1]
+
+    @pytest.mark.parametrize("k", [1, 2, 4, 16])
+    def test_row_store_packs_blocks_of_whole_bytes(self, k):
+        # the same residues from blocks of 1, 2 or 5 bytes' rows and a last
+        # block that may be partial: with a column of offsets that falls by
+        # one per row, as exact's sweep puts its ring, or with none, as op's
+        # sweep puts its groups, whose last block may be longer than the
+        # stage; at k = 16 a uint8 grid takes the rows with wrap-around
         rng = np.random.default_rng(k)
         grid = rng.integers(0, 1000, (45, 50)).astype(np.int32)
-        want = grid % (2 if k == 1 else 4 if k == 2 else 16)
-        for start, block, shift in itertools.product((0, 3, 5), (1, 3, 40), (0, 1)):
-            table = zeros_table(45, 50, k)
-            store = RowStore(table, start)
-            for r in range(start, 45, block):
-                offset = shift * (45 - r)
-                store.put(grid[r : r + block] + offset, offset)
-            store.flush()
-            assert np.array_equal(table.unpack()[start:], want[start:])
-            assert not table.unpack()[:start].any()
-            assert np.array_equal(table.T.unpack(), table.unpack().T)
+        want = grid % (2 if k == 1 else 4 if k == 2 else 16 if k == 4 else 256)
+        per = byte_rows(zeros_table(45, 50, k))
+        for size, shift, long_last in itertools.product((1, 2, 5), (0, 1), (False, True)):
+            table, block = zeros_table(45, 50, k), size * per
+            store = RowStore(table, block)
+            starts = list(range(0, 45 - (block + 3 if long_last else 0), block))
+            for r, stop in zip(starts, starts[1:] + [45]):
+                offsets = shift * (45 - np.arange(r, stop, dtype=np.int32))[:, None]
+                store.put(grid[r:stop] + offsets, offsets if shift else None)
+            assert not long_last or 45 - starts[-1] > block  # the stage holds block rows
+            got = table.unpack() if per > 1 else table
+            assert np.array_equal(got, want)
+            if per > 1:
+                assert np.array_equal(table.T.unpack(), want.T)
 
 
 @pytest.mark.parametrize("mode", sorted(MODES))

@@ -588,11 +588,13 @@ class TestTraceback:
 
         assert traceback(tables, xs, ys, k) == walk_chunks(tables.lengths, tables.length, k, gated)
 
-    def test_packed_witness_peak(self):
-        # the row loop's witness at k = 3: 2-bit residues, four rows to a
-        # byte, 0.25 B/cell, beside a stage of 32 rows and the k+1 ring rows
-        # (1.03 B/cell with one byte per cell)
-        m, k = 2000, 3
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_packed_witness_peak(self, k):
+        # the row loop's witness: 2-bit residues, four rows to a byte, 0.25
+        # B/cell, beside a ring of four int32 rows, put whole into a stage of
+        # four uint8 rows (1.03 B/cell with one byte per cell; 0.2956 at k = 2
+        # and 0.2976 at k = 3 with a stage of 32 rows filled row by row)
+        m = 2000
         x, y = _dna_pair(1, m, m)
         assert exact.MODE.plan(x, y, k).route == "rows"
         tracemalloc.start()
@@ -601,8 +603,22 @@ class TestTraceback:
             peak = tracemalloc.get_traced_memory()[1] / (m * m)
         finally:
             tracemalloc.stop()
-        assert peak < 0.4
+        assert peak < 0.29
         assert validate_alignment(x, y, Params(k=k), got) and got.total >= m // 3
+
+    def test_one_bit_table_peak(self):
+        # k = 1: 1-bit residues, 0.125 B/cell, beside a ring of k+1 = 2 rows
+        # rounded up to the 8 rows of a byte, and a stage of 8 uint8 rows
+        m = 2000
+        x, y = _dna_pair(1, m, m)
+        tracemalloc.start()
+        try:
+            state = compute_tables(x, y, 1)
+            peak = tracemalloc.get_traced_memory()[1] / (m * m)
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.18
+        assert state.length == lcs_kplus_length(x, y, 1)
 
     def test_witness_peak_is_one_byte_per_cell(self):
         # 2-bit residues, four to a byte; the walk decodes no row
