@@ -588,23 +588,24 @@ class TestTraceback:
 
         assert traceback(tables, xs, ys, k) == walk_chunks(tables.lengths, tables.length, k, gated)
 
-    @pytest.mark.parametrize("k", [2, 3])
-    def test_packed_witness_peak(self, k):
-        # the row loop's witness: 2-bit residues, four rows to a byte, 0.25
-        # B/cell, beside a ring of four int32 rows, put whole into a stage of
-        # four uint8 rows (1.03 B/cell with one byte per cell; 0.2956 at k = 2
-        # and 0.2976 at k = 3 with a stage of 32 rows filled row by row)
+    def test_packed_witness_peak(self):
+        # the row loop's witness at k = 2 and k = 3: 2-bit residues, four rows
+        # to a byte, 0.25 B/cell, beside a ring of four int32 rows, put whole
+        # into a stage of four uint8 rows (1.03 B/cell with one byte per cell;
+        # 0.2956 at k = 2 and 0.2976 at k = 3 with a stage of 32 rows filled
+        # row by row)
         m = 2000
         x, y = _dna_pair(1, m, m)
-        assert exact.MODE.plan(x, y, k).route == "rows"
-        tracemalloc.start()
-        try:
-            got = exact.MODE.align(x, y, k)
-            peak = tracemalloc.get_traced_memory()[1] / (m * m)
-        finally:
-            tracemalloc.stop()
-        assert peak < 0.29
-        assert validate_alignment(x, y, Params(k=k), got) and got.total >= m // 3
+        for k in (2, 3):
+            assert exact.MODE.plan(x, y, k).route == "rows"
+            tracemalloc.start()
+            try:
+                got = exact.MODE.align(x, y, k)
+                peak = tracemalloc.get_traced_memory()[1] / (m * m)
+            finally:
+                tracemalloc.stop()
+            assert peak < 0.29, k
+            assert validate_alignment(x, y, Params(k=k), got) and got.total >= m // 3
 
     def test_one_bit_table_peak(self):
         # k = 1: 1-bit residues, 0.125 B/cell, beside a ring of k+1 = 2 rows
